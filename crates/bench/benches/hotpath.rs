@@ -9,8 +9,7 @@ use at_bench::baseline::{execute_eager, pearson_inputs, synthetic_correlations, 
 use at_bench::deployments::{build_recommender, DeployScale};
 use at_core::{rank, rank_top, ExecutionPolicy};
 use at_linalg::{
-    pearson_on_common, pearson_on_common_alloc, pearson_on_common_blocked,
-    pearson_on_common_lanes8, BlockedRow,
+    pearson_on_common, pearson_on_common_alloc, pearson_on_common_blocked, BlockedRow,
 };
 use std::time::Instant;
 
@@ -24,9 +23,6 @@ fn bench_pearson(c: &mut Criterion) {
     });
     g.bench_function("blocked", |b| {
         b.iter(|| pearson_on_common_blocked(&ba, &bb))
-    });
-    g.bench_function("lanes8", |b| {
-        b.iter(|| pearson_on_common_lanes8(&ca, &va, &cb, &vb))
     });
     g.bench_function("allocating_baseline", |b| {
         b.iter(|| pearson_on_common_alloc(&ca, &va, &cb, &vb))

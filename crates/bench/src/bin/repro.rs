@@ -5,8 +5,8 @@
 //!
 //! experiments: creation fig3 fig4a fig4b table1 table2 fig5 fig6 fig7 fig8
 //!              summary all          (default: all)
-//! --quick: test-sized scale (seconds); default is the fuller scale the
-//!          EXPERIMENTS.md numbers were recorded at (minutes).
+//! --quick: test-sized scale (seconds); default is the fuller scale
+//!          (minutes).
 //! ```
 
 use at_bench::experiments as exp;

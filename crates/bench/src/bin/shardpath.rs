@@ -12,32 +12,24 @@
 //! same offered load; latency is `ServiceResponse::elapsed` from the
 //! enqueue instant (queue wait included).
 //!
-//! The interesting effect on a core-starved box is **collapse locality**,
-//! not parallelism: hash-affinity routing partitions the key space so each
-//! worker's micro-batches draw from `K / W` keys. That helps twice:
-//!
-//! 1. Fewer *unique* requests per batch — each synopsis/improve pass runs
-//!    once per unique, so post-collapse compute per batch shrinks even
-//!    though total offered load is identical.
-//! 2. The duplicate collapse in `serve_batch_at` bails out of its scan
-//!    when a batch prefix looks duplicate-poor (a cost guard —
-//!    `COLLAPSE_BAIL_MIN_SCAN` in at-core). At the full mix (all ~60 hot
-//!    keys, 512-per-batch), the single worker's batches are just unique-
-//!    dense enough to trip that guard and serve near-uncollapsed, while
-//!    each hash shard sees `K / W` keys, stays duplicate-dense, and
-//!    collapses fully. Crossing that threshold is why the measured
-//!    hash-affinity speedup lands *above* the analytic prediction.
+//! What hash-affinity routing buys beyond the box's cores is **collapse
+//! locality**: it partitions the key space, so each worker's micro-batches
+//! draw from `K / W` keys and hold fewer *unique* requests. The duplicate
+//! collapse in `serve_batch_at` runs each synopsis/improve pass once per
+//! unique, so post-collapse compute per batch shrinks even though total
+//! offered load is identical.
 //!
 //! Least-loaded routing interleaves the stream instead, so every worker
-//! sees every hot key and duplicates split across queues — it stays at
-//! roughly single-worker throughput, which is the point of the contrast.
+//! sees every hot key and duplicates split across queues — it gains only
+//! what extra cores give, which is the point of the contrast.
 //!
 //! Each entry also carries the analytic prediction from
 //! `at_sim::simulate_shards` (per-unique cost calibrated from the measured
 //! single-worker run) so the model can be validated against the real
 //! server — `speedup_vs_1w` is measured, `model_speedup` is predicted.
-//! The model knows only effect 1 (unique-work ratios), so it *under*-
-//! predicts hash affinity at the full scale; the gap is effect 2.
+//! The model counts unique work only: it has no term for the fixed cost
+//! of each extra worker, so it over-predicts once workers outnumber cores
+//! (`cores` is recorded in the artifact).
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -53,8 +45,8 @@ use at_workloads::Zipf;
 use rand::{rngs::SmallRng, SeedableRng};
 
 /// Dispatcher micro-batch cap. Large batches are what make collapse
-/// locality visible: at 512 the single worker's batches cross the
-/// duplicate-density bail-out threshold while per-shard batches do not.
+/// locality visible: at 512 one worker's batch holds most of the hot key
+/// set, a hash shard's only its own share of it.
 const MAX_BATCH: usize = 512;
 /// Sliding window of in-flight tickets — the fixed offered load every
 /// configuration sees.
@@ -237,6 +229,8 @@ fn main() {
         "  \"scale\": \"{}\",",
         if quick { "quick" } else { "full" }
     );
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let _ = writeln!(json, "  \"cores\": {cores},");
     let _ = writeln!(json, "  \"requests\": {n_requests},");
     let _ = writeln!(json, "  \"max_batch\": {},", MAX_BATCH);
     let _ = writeln!(json, "  \"in_flight\": {},", IN_FLIGHT);

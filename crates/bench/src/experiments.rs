@@ -2,7 +2,8 @@
 //!
 //! Every driver returns a plain data struct with a `print()` that emits the
 //! same rows/series the paper reports. The `repro` binary and the criterion
-//! benches call these; EXPERIMENTS.md records paper-vs-measured values.
+//! benches call these. Committed measurements live in the root
+//! `BENCH_*.json` artifacts and `benchmark/README.md`.
 
 use at_linalg::svd::SvdConfig;
 use at_recommender::{rating_matrix, section_relatedness, ActiveUser, CfService};

@@ -11,10 +11,11 @@
 //!
 //! [`RouteKey`] is the one contract that placement needs: a stable hash
 //! of the request's identity. The law mirrors `Eq`/`Hash`: two requests
-//! that compare equal under the service's `PartialEq` (the equality the
-//! duplicate collapse uses) **must** return the same key. Unequal
-//! requests should usually differ, but collisions only cost locality,
-//! never correctness.
+//! that compare equal under the service's `PartialEq` **must** return
+//! the same key. The duplicate collapse buckets a batch by this key and
+//! confirms every hit with `PartialEq`, so a collision costs one extra
+//! comparison and a law violation costs a missed collapse — neither can
+//! merge two different requests.
 //!
 //! The default building block is the FNV-1a streaming hash — small,
 //! allocation-free, and stable across runs and platforms (routing must
@@ -67,13 +68,14 @@ impl Fnv1a {
         }
     }
 
-    /// Mix an `f64` by its bit pattern (routing hashes identity, not
-    /// numeric equivalence classes; `-0.0` and `0.0` may differ — that
-    /// only costs locality on requests `PartialEq` would also separate
-    /// when produced by different float computations).
+    /// Mix an `f64` by its bit pattern, with `-0.0` canonicalised to
+    /// `0.0`: the two compare equal, so the [`RouteKey`] law requires
+    /// them to hash alike. (`NaN` never equals anything, itself
+    /// included, so its payload bits are free to differ.)
     #[inline]
     pub fn write_f64(&mut self, value: f64) {
-        self.write_u64(value.to_bits());
+        let canonical = if value == 0.0 { 0.0 } else { value };
+        self.write_u64(canonical.to_bits());
     }
 
     /// The accumulated 64-bit hash.
@@ -92,11 +94,11 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
-/// A stable routing key for multi-worker placement.
+/// A stable request hash: multi-worker placement routes by it and the
+/// batched duplicate collapse buckets by it.
 ///
 /// # Contract
-/// `a == b` (the request type's `PartialEq`, i.e. the equality the
-/// batched duplicate collapse uses) implies
+/// `a == b` (the request type's `PartialEq`) implies
 /// `a.route_key() == b.route_key()`. The key must be deterministic
 /// across runs — replayed request streams route identically.
 pub trait RouteKey {
@@ -122,6 +124,22 @@ impl_route_key_uint!(u8, u16, u32, u64, usize);
 impl<K: RouteKey + ?Sized> RouteKey for &K {
     fn route_key(&self) -> u64 {
         (**self).route_key()
+    }
+}
+
+impl RouteKey for () {
+    fn route_key(&self) -> u64 {
+        Fnv1a::new().finish()
+    }
+}
+
+impl<K: RouteKey> RouteKey for Vec<K> {
+    fn route_key(&self) -> u64 {
+        let mut h = Fnv1a::new();
+        for item in self {
+            h.write_u64(item.route_key());
+        }
+        h.finish()
     }
 }
 
@@ -159,6 +177,18 @@ mod tests {
             owners.iter().all(|&o| o),
             "hash must spread 24 keys over 4 workers"
         );
+    }
+
+    #[test]
+    fn signed_zeros_hash_alike() {
+        let key = |v: f64| {
+            let mut h = Fnv1a::new();
+            h.write_f64(v);
+            h.finish()
+        };
+        assert_eq!(key(0.0), key(-0.0));
+        assert_ne!(key(0.0), key(1.0));
+        assert_ne!(key(1.0), key(-1.0));
     }
 
     #[test]

@@ -22,6 +22,7 @@
 //! policies through the same plumbing. Output buffers are recycled across
 //! all of these via the service's [`OutputPool`].
 
+use std::borrow::Cow;
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -37,6 +38,7 @@ use crate::outcome::Outcome;
 use crate::policy::ExecutionPolicy;
 use crate::pool::OutputPool;
 use crate::processor::{ApproximateService, ComposableService};
+use crate::route::RouteKey;
 
 /// Errors from service construction.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -57,17 +59,39 @@ impl fmt::Display for ServiceError {
 
 impl std::error::Error for ServiceError {}
 
-/// Requests scanned before the duplicate-collapse scan may bail out.
-/// Below this, the scan is trivially cheap and uniqueness estimates are
-/// too noisy to act on.
-const COLLAPSE_BAIL_MIN_SCAN: usize = 32;
-
-/// Bail out of collapsing once more than half of the scanned prefix is
-/// unique: the linear probe per request is then quadratic work buying
-/// almost no deduplication (zipf-skewed production mixes sit far below
-/// this; adversarially unique batches sit far above).
-fn collapse_should_bail(uniques: usize, scanned: usize) -> bool {
-    scanned >= COLLAPSE_BAIL_MIN_SCAN && uniques * 2 > scanned
+/// Exact duplicate collapse in O(batch): `firsts[u]` is the original
+/// index of unique request `u` (first-appearance order) and `unique_of[i]`
+/// the unique index serving original request `i`. Requests are bucketed by
+/// [`RouteKey`] in a linear-probed table and every key hit is confirmed
+/// with `PartialEq`, so colliding keys cost comparisons, never a merge of
+/// two different requests.
+fn collapse<R: RouteKey + PartialEq>(reqs: &[R]) -> (Vec<usize>, Vec<usize>) {
+    // At most half full, so every probe ends at an empty slot.
+    let mask = (reqs.len() * 2).next_power_of_two() - 1;
+    let mut table: Vec<Option<(u64, usize)>> = vec![None; mask + 1];
+    let mut firsts: Vec<usize> = Vec::new();
+    let mut unique_of: Vec<usize> = Vec::with_capacity(reqs.len());
+    for (i, req) in reqs.iter().enumerate() {
+        let key = req.route_key();
+        // FNV-1a's low bits only see its input's low bits: fold the
+        // high half in before masking.
+        let mut slot = (key ^ (key >> 32)) as usize & mask;
+        let unique = loop {
+            // lint: allow(panic-freedom) reason=slot <= mask == table.len() - 1
+            match &mut table[slot] {
+                // lint: allow(panic-freedom) reason=u indexes firsts, which holds indices of reqs
+                Some((k, u)) if *k == key && reqs[firsts[*u]] == *req => break *u,
+                Some(_) => slot = (slot + 1) & mask,
+                empty => {
+                    *empty = Some((key, firsts.len()));
+                    firsts.push(i);
+                    break firsts.len() - 1;
+                }
+            }
+        };
+        unique_of.push(unique);
+    }
+    (firsts, unique_of)
 }
 
 /// Split rows round-robin into `n` subsets of a `feature_dim`-column space —
@@ -517,9 +541,10 @@ where
     /// distinct request is processed once and its response re-composed per
     /// occurrence. Zipf-skewed query mixes (the paper's workload shape)
     /// repeat hot requests constantly, making this the dominant batching
-    /// win at peak load. `Deadline` batches are never collapsed — each
-    /// request's outcome legitimately depends on its own submission
-    /// instant.
+    /// win at peak load. Duplicates are found exactly and in O(batch):
+    /// bucketed by [`RouteKey`], confirmed by `PartialEq`. `Deadline`
+    /// batches are never collapsed — each request's outcome legitimately
+    /// depends on its own submission instant.
     ///
     /// ```
     /// use at_core::{partition_rows, ApproximateService, ComposableService,
@@ -578,7 +603,7 @@ where
     ) -> Vec<ServiceResponse<S::Response>>
     where
         S: ComposableService,
-        S::Request: Clone + PartialEq,
+        S::Request: Clone + PartialEq + RouteKey,
     {
         let submitted = vec![clock::now(); reqs.len()];
         self.serve_batch_at(reqs, policy, &submitted)
@@ -598,7 +623,7 @@ where
     ) -> Vec<ServiceResponse<S::Response>>
     where
         S: ComposableService,
-        S::Request: Clone + PartialEq,
+        S::Request: Clone + PartialEq + RouteKey,
     {
         assert_eq!(
             reqs.len(),
@@ -623,40 +648,25 @@ where
                 return vec![self.serve_at(req, policy, sub)];
             }
         }
-        // Collapse duplicate requests (clock-free policies only):
-        // `firsts[u]` is the original index of unique request `u`,
-        // `unique_of[i]` the unique index serving original request `i`.
-        // The linear probe per request is trivial on the duplicate-heavy
-        // batches collapsing exists for, but O(batch × uniques) on
-        // high-uniqueness batches — so once the scanned prefix proves
-        // mostly unique ([`collapse_should_bail`]) the remainder is taken
-        // as-is, each request its own unique. Collapsing is purely an
-        // optimization: uncollapsed duplicates are still served correctly,
-        // just without sharing their computation.
-        let mut firsts: Vec<usize> = Vec::new();
-        let mut unique_of: Vec<usize> = Vec::with_capacity(reqs.len());
-        if policy.is_clock_free() {
-            for (i, req) in reqs.iter().enumerate() {
-                if collapse_should_bail(firsts.len(), i) {
-                    for j in i..reqs.len() {
-                        unique_of.push(firsts.len());
-                        firsts.push(j);
-                    }
-                    break;
-                }
-                // lint: allow(panic-freedom) reason=f collected from enumerate over reqs, always in bounds
-                match firsts.iter().position(|&f| reqs[f] == *req) {
-                    Some(u) => unique_of.push(u),
-                    None => {
-                        unique_of.push(firsts.len());
-                        firsts.push(i);
-                    }
-                }
-            }
+        // Collapse duplicate requests (clock-free policies only; see
+        // [`collapse`]): a `Deadline` request's outcome depends on its own
+        // submission instant, so each is its own unique.
+        let (firsts, unique_of) = if policy.is_clock_free() {
+            collapse(reqs)
         } else {
-            firsts = (0..reqs.len()).collect();
-            unique_of = firsts.clone();
-        }
+            ((0..reqs.len()).collect(), (0..reqs.len()).collect())
+        };
+        let (unique_reqs, unique_submitted): (Cow<[S::Request]>, Cow<[Instant]>) =
+            if firsts.len() < reqs.len() {
+                (
+                    // lint: allow(panic-freedom) reason=firsts holds indices of reqs by construction
+                    firsts.iter().map(|&i| reqs[i].clone()).collect(),
+                    // lint: allow(panic-freedom) reason=firsts holds indices of reqs; reqs.len() == submitted.len() asserted above
+                    firsts.iter().map(|&i| submitted[i]).collect(),
+                )
+            } else {
+                (Cow::Borrowed(reqs), Cow::Borrowed(submitted))
+            };
 
         // One fan-out for the whole (collapsed) batch: `per_component[c][u]`
         // is component c's outcome for unique request u — or `None` for
@@ -665,29 +675,16 @@ where
         // request of the batch fails the component's whole batch leg:
         // containment is per-leg, not per-request.
         let pool = &self.pool;
-        let per_component: Vec<Option<Vec<Outcome<S::Output>>>> = if firsts.len() < reqs.len() {
-            // lint: allow(panic-freedom) reason=firsts holds indices of reqs by construction; reqs.len() == submitted.len() asserted above
-            let unique_reqs: Vec<S::Request> = firsts.iter().map(|&i| reqs[i].clone()).collect();
-            // lint: allow(panic-freedom) reason=firsts holds indices of reqs by construction; reqs.len() == submitted.len() asserted above
-            let unique_submitted: Vec<Instant> = firsts.iter().map(|&i| submitted[i]).collect();
-            self.components
-                .par_iter()
-                .enumerate()
-                .map(|(ci, c)| {
-                    self.leg(ci, || {
-                        c.execute_batch_pooled(&unique_reqs, policy, &unique_submitted, pool)
-                    })
+        let per_component: Vec<Option<Vec<Outcome<S::Output>>>> = self
+            .components
+            .par_iter()
+            .enumerate()
+            .map(|(ci, c)| {
+                self.leg(ci, || {
+                    c.execute_batch_pooled(&unique_reqs, policy, &unique_submitted, pool)
                 })
-                .collect()
-        } else {
-            self.components
-                .par_iter()
-                .enumerate()
-                .map(|(ci, c)| {
-                    self.leg(ci, || c.execute_batch_pooled(reqs, policy, submitted, pool))
-                })
-                .collect()
-        };
+            })
+            .collect();
 
         // Regroup by unique request, splitting telemetry from outputs.
         // A failed leg contributes a failed-telemetry row to every unique
@@ -801,14 +798,27 @@ mod tests {
             .collect()
     }
 
-    fn quick_service(n_rows: usize, n_components: usize) -> FanOutService<CountService> {
+    fn quick_build<S>(
+        n_rows: usize,
+        n_components: usize,
+        make_service: impl Fn() -> S + Sync,
+    ) -> FanOutService<S>
+    where
+        S: ApproximateService + Send + Sync,
+        S::Request: Sync,
+        S::Output: Send,
+    {
         let subsets = partition_rows(6, rows(n_rows), n_components).unwrap();
         let cfg = SynopsisConfig {
             svd: SvdConfig::default().with_epochs(8),
             size_ratio: 10,
             ..SynopsisConfig::default()
         };
-        FanOutService::build(subsets, AggregationMode::Mean, cfg, || CountService)
+        FanOutService::build(subsets, AggregationMode::Mean, cfg, make_service)
+    }
+
+    fn quick_service(n_rows: usize, n_components: usize) -> FanOutService<CountService> {
+        quick_build(n_rows, n_components, || CountService)
     }
 
     #[test]
@@ -904,26 +914,31 @@ mod tests {
     }
 
     /// `CountService` with an invocation counter on stage 1, to observe
-    /// how many requests actually reach the components.
-    struct MeteredService(std::sync::Arc<std::sync::atomic::AtomicUsize>);
+    /// how many requests actually reach the components. The request's
+    /// value seeds the output, so serving one request with another's
+    /// outcome would show in the response.
+    struct MeteredService<R>(
+        std::sync::Arc<std::sync::atomic::AtomicUsize>,
+        std::marker::PhantomData<fn(R)>,
+    );
 
-    impl ApproximateService for MeteredService {
-        type Request = u32;
+    impl<R: Copy + Into<u32>> ApproximateService for MeteredService<R> {
+        type Request = R;
         type Output = usize;
 
-        fn process_synopsis(&self, ctx: Ctx<'_>, _r: &u32, corr: &mut Vec<Correlation>) -> usize {
+        fn process_synopsis(&self, ctx: Ctx<'_>, r: &R, corr: &mut Vec<Correlation>) -> usize {
             self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             corr.extend(ctx.store.synopsis().iter().map(|p| Correlation {
                 node: p.node,
                 score: 1.0,
             }));
-            0
+            (*r).into() as usize
         }
 
         fn improve(
             &self,
             _ctx: Ctx<'_>,
-            _r: &u32,
+            _r: &R,
             out: &mut usize,
             _node: at_rtree::NodeId,
             members: &[u64],
@@ -931,34 +946,36 @@ mod tests {
             *out += members.len();
         }
 
-        fn process_exact(&self, ctx: Ctx<'_>, _r: &u32) -> usize {
+        fn process_exact(&self, ctx: Ctx<'_>, _r: &R) -> usize {
             ctx.dataset.len()
         }
     }
 
-    impl ComposableService for MeteredService {
+    impl<R: Copy + Into<u32>> ComposableService for MeteredService<R> {
         type Response = usize;
 
-        fn compose(&self, _r: &u32, parts: &[usize]) -> usize {
+        fn compose(&self, _r: &R, parts: &[usize]) -> usize {
             parts.iter().sum()
         }
     }
 
+    /// Three metered components and the stage-1 call counter they share.
+    fn metered_service<R: Copy + Into<u32> + Sync>() -> (
+        FanOutService<MeteredService<R>>,
+        std::sync::Arc<std::sync::atomic::AtomicUsize>,
+    ) {
+        let calls = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let svc = quick_build(90, 3, || {
+            MeteredService(calls.clone(), std::marker::PhantomData)
+        });
+        (svc, calls)
+    }
+
     #[test]
     fn duplicate_requests_collapse_only_under_clock_free_policies() {
-        let calls = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let subsets = partition_rows(6, rows(90), 3).unwrap();
-        let cfg = SynopsisConfig {
-            svd: SvdConfig::default().with_epochs(8),
-            size_ratio: 10,
-            ..SynopsisConfig::default()
-        };
-        let svc = FanOutService::build(subsets, AggregationMode::Mean, cfg, || {
-            MeteredService(calls.clone())
-        });
+        let (svc, calls) = metered_service::<u32>();
         let batch = [7u32, 9, 7, 7, 9];
 
-        calls.store(0, std::sync::atomic::Ordering::Relaxed);
         let responses = svc.serve_batch(&batch, &ExecutionPolicy::budgeted(1));
         assert_eq!(responses.len(), batch.len(), "one response per occurrence");
         assert_eq!(
@@ -979,29 +996,18 @@ mod tests {
     }
 
     #[test]
-    fn high_uniqueness_batch_bails_out_of_collapsing_but_stays_correct() {
-        let calls = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let subsets = partition_rows(6, rows(90), 3).unwrap();
-        let cfg = SynopsisConfig {
-            svd: SvdConfig::default().with_epochs(8),
-            size_ratio: 10,
-            ..SynopsisConfig::default()
-        };
-        let svc = FanOutService::build(subsets, AggregationMode::Mean, cfg, || {
-            MeteredService(calls.clone())
-        });
-        // 48 distinct requests, then 16 duplicates of the first: the scan
-        // proves the prefix mostly unique at COLLAPSE_BAIL_MIN_SCAN and
-        // bails, so the duplicate tail is deliberately NOT collapsed.
+    fn mostly_unique_batch_still_collapses_its_duplicate_tail() {
+        let (svc, calls) = metered_service::<u32>();
+        // 48 distinct requests, then 16 duplicates of the first: the
+        // collapse is exact however unique the prefix looks.
         let batch: Vec<u32> = (0..48u32).chain(std::iter::repeat_n(0u32, 16)).collect();
         let policy = ExecutionPolicy::budgeted(1);
         let responses = svc.serve_batch(&batch, &policy);
         assert_eq!(
             calls.load(std::sync::atomic::Ordering::Relaxed),
-            batch.len() * svc.len(),
-            "bailed-out batch computes every occurrence"
+            48 * svc.len(),
+            "each distinct request computed once per component"
         );
-        // Bailing out never changes what each request gets.
         assert_eq!(responses.len(), batch.len());
         for (req, got) in batch.iter().zip(&responses) {
             let want = svc.serve(req, &policy);
@@ -1010,41 +1016,87 @@ mod tests {
         }
     }
 
-    #[test]
-    fn low_uniqueness_batch_past_threshold_still_collapses() {
-        let calls = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let subsets = partition_rows(6, rows(90), 3).unwrap();
-        let cfg = SynopsisConfig {
-            svd: SvdConfig::default().with_epochs(8),
-            size_ratio: 10,
-            ..SynopsisConfig::default()
-        };
-        let svc = FanOutService::build(subsets, AggregationMode::Mean, cfg, || {
-            MeteredService(calls.clone())
-        });
-        // 64 requests over two distinct values (a zipf-like hot mix): the
-        // unique count never approaches half the scanned prefix, so the
-        // whole batch collapses to two computations per component.
-        let batch: Vec<u32> = (0..64u32).map(|i| if i % 3 == 0 { 7 } else { 9 }).collect();
-        let responses = svc.serve_batch(&batch, &ExecutionPolicy::budgeted(1));
-        assert_eq!(
-            calls.load(std::sync::atomic::Ordering::Relaxed),
-            2 * svc.len(),
-            "hot mix still collapses to its distinct requests"
-        );
-        assert_eq!(responses[0].response, responses[3].response);
-        assert_eq!(responses[1].response, responses[2].response);
+    /// Every value hashes to the same key; only `PartialEq` tells them
+    /// apart.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    struct SameKey(u32);
+
+    impl RouteKey for SameKey {
+        fn route_key(&self) -> u64 {
+            0
+        }
+    }
+
+    impl From<SameKey> for u32 {
+        fn from(r: SameKey) -> u32 {
+            r.0
+        }
     }
 
     #[test]
-    fn collapse_bail_threshold_shape() {
-        // Below the minimum scan, never bail (even fully unique).
-        assert!(!collapse_should_bail(31, 31));
-        // At the boundary: more than half unique bails...
-        assert!(collapse_should_bail(17, 32));
-        // ...exactly half (or less) keeps collapsing.
-        assert!(!collapse_should_bail(16, 32));
-        assert!(!collapse_should_bail(2, 4096));
+    fn colliding_route_keys_never_merge_distinct_requests() {
+        let (svc, calls) = metered_service::<SameKey>();
+        let batch: Vec<SameKey> = [3u32, 5, 3, 8, 5, 5, 13, 3].map(SameKey).to_vec();
+        let policy = ExecutionPolicy::budgeted(1);
+        let responses = svc.serve_batch(&batch, &policy);
+        assert_eq!(
+            calls.load(std::sync::atomic::Ordering::Relaxed),
+            4 * svc.len(),
+            "equal requests still collapse under a constant key"
+        );
+        for (req, got) in batch.iter().zip(&responses) {
+            let want = svc.serve(req, &policy);
+            assert_eq!(got.response, want.response);
+            assert_eq!(got.components, want.components);
+        }
+        assert_ne!(responses[0].response, responses[1].response);
+    }
+
+    thread_local! {
+        static EQ_CALLS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// Counts `PartialEq` calls (per thread, so parallel tests do not mix).
+    #[derive(Debug)]
+    struct CountedEq(u32);
+
+    impl PartialEq for CountedEq {
+        fn eq(&self, other: &Self) -> bool {
+            EQ_CALLS.set(EQ_CALLS.get() + 1);
+            self.0 == other.0
+        }
+    }
+
+    impl RouteKey for CountedEq {
+        fn route_key(&self) -> u64 {
+            self.0.route_key()
+        }
+    }
+
+    /// `(PartialEq calls, uniques)` of collapsing `ids`, checking the
+    /// mapping on the way.
+    fn collapse_cost(ids: impl Iterator<Item = u32>) -> (usize, usize) {
+        let reqs: Vec<CountedEq> = ids.map(CountedEq).collect();
+        EQ_CALLS.set(0);
+        let (firsts, unique_of) = collapse(&reqs);
+        let calls = EQ_CALLS.get();
+        assert_eq!(unique_of.len(), reqs.len());
+        for (req, &u) in reqs.iter().zip(&unique_of) {
+            assert_eq!(reqs[firsts[u]].0, req.0);
+        }
+        (calls, firsts.len())
+    }
+
+    #[test]
+    fn collapse_compares_at_most_once_per_request() {
+        // Distinct keys never reach `PartialEq`: hashing alone places them.
+        assert_eq!(collapse_cost(0..512), (0, 512));
+        // Each repeat is confirmed by exactly one comparison.
+        assert_eq!(collapse_cost((0..512).map(|i| i % 7)), (512 - 7, 7));
+        assert_eq!(
+            collapse_cost((0..48).chain(std::iter::repeat_n(0, 16))),
+            (16, 48)
+        );
     }
 
     #[test]

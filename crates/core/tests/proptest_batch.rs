@@ -7,14 +7,16 @@
 //! time — including stale-set skips (a service whose top-ranked set has no
 //! index entry), tie ordering, and NaN correlation scores. Two fixtures
 //! run every case: one service overriding the batch/pooling hooks (the
-//! amortized single-pass path) and one on the trait defaults.
+//! amortized single-pass path) and one on the trait defaults. A third
+//! hashes every request of a given length to the same `RouteKey`, so the
+//! duplicate collapse's collision handling runs under every policy too.
 
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use at_core::{
     partition_rows, ApproximateService, ComposableService, Correlation, Ctx, ExecutionPolicy,
-    FanOutService,
+    FanOutService, RouteKey,
 };
 use at_synopsis::{AggregationMode, SparseRow, SynopsisConfig};
 use proptest::prelude::*;
@@ -203,6 +205,58 @@ impl ComposableService for StaleColumnSum {
     }
 }
 
+/// A `ColumnSum` request whose route key is only its length: distinct
+/// requests collide constantly and only `PartialEq` tells them apart.
+#[derive(Clone, Debug, PartialEq)]
+struct ByLen(Vec<u32>);
+
+impl From<Vec<u32>> for ByLen {
+    fn from(targets: Vec<u32>) -> Self {
+        ByLen(targets)
+    }
+}
+
+impl RouteKey for ByLen {
+    fn route_key(&self) -> u64 {
+        self.0.len() as u64
+    }
+}
+
+/// `ColumnSum` (default trait plumbing) behind colliding request keys.
+struct CollidingColumnSum;
+
+impl ApproximateService for CollidingColumnSum {
+    type Request = ByLen;
+    type Output = Vec<f64>;
+
+    fn process_synopsis(&self, ctx: Ctx<'_>, req: &ByLen, corr: &mut Vec<Correlation>) -> Vec<f64> {
+        ColumnSum.process_synopsis(ctx, &req.0, corr)
+    }
+
+    fn improve(
+        &self,
+        ctx: Ctx<'_>,
+        req: &ByLen,
+        out: &mut Vec<f64>,
+        node: at_rtree::NodeId,
+        members: &[u64],
+    ) {
+        ColumnSum.improve(ctx, &req.0, out, node, members);
+    }
+
+    fn process_exact(&self, ctx: Ctx<'_>, req: &ByLen) -> Vec<f64> {
+        ColumnSum.process_exact(ctx, &req.0)
+    }
+}
+
+impl ComposableService for CollidingColumnSum {
+    type Response = Vec<f64>;
+
+    fn compose(&self, req: &ByLen, parts: &[Vec<f64>]) -> Vec<f64> {
+        ColumnSum.compose(&req.0, parts)
+    }
+}
+
 const N_COLUMNS: u32 = 10;
 
 fn build<S: ApproximateService + Send + Sync>(make: impl Fn() -> S + Sync) -> FanOutService<S>
@@ -236,6 +290,11 @@ fn overridden() -> &'static FanOutService<ColumnSum> {
 fn defaulted() -> &'static FanOutService<StaleColumnSum> {
     static SVC: OnceLock<FanOutService<StaleColumnSum>> = OnceLock::new();
     SVC.get_or_init(|| build(|| StaleColumnSum))
+}
+
+fn colliding() -> &'static FanOutService<CollidingColumnSum> {
+    static SVC: OnceLock<FanOutService<CollidingColumnSum>> = OnceLock::new();
+    SVC.get_or_init(|| build(|| CollidingColumnSum))
 }
 
 /// One policy per `ExecutionPolicy` variant, with the budget/imax knobs
@@ -272,17 +331,13 @@ fn batches() -> impl Strategy<Value = Vec<(Vec<u32>, bool)>> {
     )
 }
 
-/// Batches straddling the duplicate-collapse bailout threshold (the scan
-/// bails once >50% of a ≥32-request prefix is unique): either drawn from a
-/// tiny pool of 2–3 requests (duplicate-heavy — collapses throughout) or
-/// freely generated (mostly unique — bails out mid-scan), both well past
-/// the minimum scanned prefix so the threshold logic actually runs.
-fn bailout_batches() -> impl Strategy<Value = Vec<(Vec<u32>, bool)>> {
-    let request = || prop::collection::vec(0u32..N_COLUMNS, 1..4);
-    let unique_heavy = prop::collection::vec(request(), 40..72);
-    let dup_heavy = (
-        prop::collection::vec(request(), 2..4),
-        prop::collection::vec(0usize..4, 40..72),
+/// Large batches (up to the biggest micro-batch any bench drives) in the
+/// two shapes the duplicate collapse sees: drawn from a small hot pool
+/// (almost everything collapses) and all-unique (nothing does).
+fn large_batches() -> impl Strategy<Value = Vec<(Vec<u32>, bool)>> {
+    let hot_pool = (
+        prop::collection::vec(prop::collection::vec(0u32..N_COLUMNS, 1..4), 1..8),
+        prop::collection::vec(0usize..8, 1..=512),
     )
         .prop_map(|(pool, picks)| {
             picks
@@ -290,7 +345,13 @@ fn bailout_batches() -> impl Strategy<Value = Vec<(Vec<u32>, bool)>> {
                 .map(|p| pool[p % pool.len()].clone())
                 .collect::<Vec<_>>()
         });
-    prop_oneof![unique_heavy, dup_heavy]
+    // The base-10 digits of 0..n: n <= 512 distinct column triples.
+    let all_unique = (1u32..=512).prop_map(|n| {
+        (0..n)
+            .map(|i| vec![i / 100, i / 10 % 10, i % 10])
+            .collect::<Vec<_>>()
+    });
+    prop_oneof![hot_pool, all_unique]
         .prop_map(|reqs| reqs.into_iter().map(|r| (r, false)).collect())
 }
 
@@ -316,9 +377,10 @@ fn assert_batch_equals_sequential<S>(
     label: &str,
 ) -> Result<(), TestCaseError>
 where
-    S: ComposableService<Request = Vec<u32>, Output = Vec<f64>, Response = Vec<f64>> + Sync,
+    S: ComposableService<Output = Vec<f64>, Response = Vec<f64>> + Sync,
+    S::Request: From<Vec<u32>> + Clone + PartialEq + RouteKey + Sync,
 {
-    let reqs: Vec<Vec<u32>> = batch.iter().map(|(t, _)| t.clone()).collect();
+    let reqs: Vec<S::Request> = batch.iter().map(|(t, _)| t.clone().into()).collect();
     let Some(submitted) = submitted_of(batch) else {
         return Ok(());
     };
@@ -383,16 +445,24 @@ proptest! {
         assert_batch_equals_sequential(defaulted(), &batch, &policy, "stale-default")?;
     }
 
-    /// Batched == sequential on both sides of the collapse-bailout
-    /// threshold: duplicate-heavy batches (which collapse end to end) and
-    /// mostly-unique batches (where the scan bails out mid-way and serves
-    /// the remainder uncollapsed) must both be invisible in the results.
+    /// Batched == sequential on large batches, whether the duplicate
+    /// collapse merges almost everything or nothing.
     #[test]
-    fn serve_batch_equals_mapped_serve_across_collapse_bailout(
-        batch in bailout_batches(),
+    fn serve_batch_equals_mapped_serve_on_large_batches(
+        batch in large_batches(),
         policy in policies(),
     ) {
-        assert_batch_equals_sequential(overridden(), &batch, &policy, "bailout")?;
+        assert_batch_equals_sequential(overridden(), &batch, &policy, "large")?;
+    }
+
+    /// ... and when distinct requests share route keys, so every collapse
+    /// decision falls to `PartialEq`.
+    #[test]
+    fn serve_batch_equals_mapped_serve_under_colliding_route_keys(
+        batch in prop_oneof![batches(), large_batches()],
+        policy in policies(),
+    ) {
+        assert_batch_equals_sequential(colliding(), &batch, &policy, "colliding")?;
     }
 
     /// Pool warmth must never change results: serving the same batch again

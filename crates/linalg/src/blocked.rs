@@ -244,71 +244,6 @@ pub fn pearson_on_common_blocked(a: &BlockedRow, b: &BlockedRow) -> (f64, usize)
     w.finish()
 }
 
-/// Lane-chunked streaming Pearson over CSR slices: the two-pointer merge
-/// gathers matched pairs into fixed-width `[f64; L]` buffers and folds each
-/// full chunk through the shared Welford recurrence in a fixed-trip
-/// (manually unrollable) loop. `L` = 4.
-///
-/// Same match order, same fold order ⇒ bit-identical to
-/// [`crate::pearson_on_common`]; the chunking exists so the gather phase
-/// runs over compiler-visible fixed-width arrays.
-pub fn pearson_on_common_lanes4(
-    cols_a: &[u32],
-    vals_a: &[f64],
-    cols_b: &[u32],
-    vals_b: &[f64],
-) -> (f64, usize) {
-    pearson_on_common_lanes::<4>(cols_a, vals_a, cols_b, vals_b)
-}
-
-/// 8-lane variant of [`pearson_on_common_lanes4`].
-pub fn pearson_on_common_lanes8(
-    cols_a: &[u32],
-    vals_a: &[f64],
-    cols_b: &[u32],
-    vals_b: &[f64],
-) -> (f64, usize) {
-    pearson_on_common_lanes::<8>(cols_a, vals_a, cols_b, vals_b)
-}
-
-fn pearson_on_common_lanes<const L: usize>(
-    cols_a: &[u32],
-    vals_a: &[f64],
-    cols_b: &[u32],
-    vals_b: &[f64],
-) -> (f64, usize) {
-    debug_assert_eq!(cols_a.len(), vals_a.len());
-    debug_assert_eq!(cols_b.len(), vals_b.len());
-    let mut w = WelfordPair::new();
-    let mut bx = [0.0f64; L];
-    let mut by = [0.0f64; L];
-    let mut fill = 0usize;
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < cols_a.len() && j < cols_b.len() {
-        match cols_a[i].cmp(&cols_b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                bx[fill] = vals_a[i];
-                by[fill] = vals_b[j];
-                fill += 1;
-                if fill == L {
-                    for lane in 0..L {
-                        w.push(bx[lane], by[lane]);
-                    }
-                    fill = 0;
-                }
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    for lane in 0..fill {
-        w.push(bx[lane], by[lane]);
-    }
-    w.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,20 +298,6 @@ mod tests {
         let (wb, nb) = pearson_on_common_blocked(&a, &b);
         assert_eq!(ns, nb);
         assert_eq!(ws.to_bits(), wb.to_bits());
-    }
-
-    #[test]
-    fn lane_variants_are_bit_identical_to_scalar() {
-        let (ca, va) = row(&[(0, 1.0), (2, 4.5), (3, 2.0), (5, 5.0), (8, 3.0), (9, 0.5)]);
-        let (cb, vb) = row(&[(1, 2.0), (2, 1.0), (3, 4.0), (4, 9.0), (5, 2.0), (9, 4.5)]);
-        let (ws, ns) = pearson_on_common(&ca, &va, &cb, &vb);
-        for (w, n) in [
-            pearson_on_common_lanes4(&ca, &va, &cb, &vb),
-            pearson_on_common_lanes8(&ca, &va, &cb, &vb),
-        ] {
-            assert_eq!(ns, n);
-            assert_eq!(ws.to_bits(), w.to_bits());
-        }
     }
 
     #[test]

@@ -27,10 +27,7 @@ pub mod stats;
 pub mod svd;
 pub mod vector;
 
-pub use blocked::{
-    for_each_common_slot, pearson_on_common_blocked, pearson_on_common_lanes4,
-    pearson_on_common_lanes8, BlockedRow, BlockedSet, LANES,
-};
+pub use blocked::{for_each_common_slot, pearson_on_common_blocked, BlockedRow, BlockedSet, LANES};
 pub use matrix::Matrix;
 pub use pearson::{pearson, pearson_on_common, pearson_on_common_alloc, WelfordPair};
 pub use sparse::{SparseMatrix, SparseMatrixBuilder};

@@ -74,14 +74,6 @@ impl SparseMatrix {
         e - s
     }
 
-    /// Blocked view of row `r` (see [`crate::blocked`]): fixed-width column
-    /// blocks with dense value lanes + occupancy masks, for the
-    /// block-aligned kernels. Allocates — construction/offline path; the
-    /// CSR slices above remain the compat view.
-    pub fn row_blocked(&self, r: usize) -> crate::blocked::BlockedRow {
-        crate::blocked::BlockedRow::from_sorted(self.row_cols(r), self.row_values(r))
-    }
-
     /// Value at `(r, c)` if stored.
     pub fn get(&self, r: usize, c: u32) -> Option<f64> {
         let (s, e) = self.row_range(r);

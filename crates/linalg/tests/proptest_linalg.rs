@@ -3,8 +3,7 @@
 use at_linalg::stats::{mean, percentile, variance, Percentiles, StreamingStats};
 use at_linalg::{
     for_each_common_slot, pearson, pearson_on_common, pearson_on_common_alloc,
-    pearson_on_common_blocked, pearson_on_common_lanes4, pearson_on_common_lanes8, BlockedRow,
-    BlockedSet,
+    pearson_on_common_blocked, BlockedRow, BlockedSet,
 };
 use proptest::prelude::*;
 
@@ -178,8 +177,6 @@ proptest! {
         let variants = [
             ("streaming", pearson_on_common(&ca, &va, &cb, &vb)),
             ("blocked", pearson_on_common_blocked(&a, &b)),
-            ("lanes4", pearson_on_common_lanes4(&ca, &va, &cb, &vb)),
-            ("lanes8", pearson_on_common_lanes8(&ca, &va, &cb, &vb)),
         ];
         for (name, (w, n)) in variants {
             prop_assert_eq!(n, n_oracle, "{}: common count", name);
@@ -202,14 +199,9 @@ proptest! {
         let vb = vec![2.5; cb.len()];
         let a = BlockedRow::from_sorted(&ca, &va);
         let b = BlockedRow::from_sorted(&cb, &vb);
-        for (w, n) in [
-            pearson_on_common_blocked(&a, &b),
-            pearson_on_common_lanes4(&ca, &va, &cb, &vb),
-            pearson_on_common_lanes8(&ca, &va, &cb, &vb),
-        ] {
-            prop_assert_eq!(n, 0);
-            prop_assert_eq!(w.to_bits(), 0.0f64.to_bits());
-        }
+        let (w, n) = pearson_on_common_blocked(&a, &b);
+        prop_assert_eq!(n, 0);
+        prop_assert_eq!(w.to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

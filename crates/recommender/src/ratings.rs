@@ -25,16 +25,17 @@ pub fn rating_matrix(n_users: usize, n_items: usize, ratings: &[Rating]) -> RowS
 /// An active user's request: their known ratings (for weight computation)
 /// and the items whose ratings to predict.
 ///
-/// `PartialEq` compares profile and targets exactly (the blocked caches are
-/// pure functions of them, so they compare consistently); the batched
-/// serving path uses it to collapse duplicate requests in one batch.
+/// `PartialEq` compares profile and targets exactly — the same two fields
+/// [`RouteKey`] hashes; the blocked caches are pure functions of them. The
+/// batched serving path uses both to collapse duplicate requests in one
+/// batch.
 ///
 /// The blocked renderings of the profile and target list are built once at
 /// [`new`](ActiveUser::new) — request construction, off the warm path — so
 /// the serving kernels read dense lanes without per-request conversion.
 /// They stay private: every construction goes through `new`, which keeps
 /// them in sync with the public fields.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct ActiveUser {
     /// The active user's profile: item → rating.
     pub profile: SparseRow,
@@ -42,6 +43,12 @@ pub struct ActiveUser {
     pub targets: Vec<u32>,
     blocked_profile: BlockedRow,
     blocked_targets: BlockedSet,
+}
+
+impl PartialEq for ActiveUser {
+    fn eq(&self, other: &Self) -> bool {
+        self.profile == other.profile && self.targets == other.targets
+    }
 }
 
 impl ActiveUser {

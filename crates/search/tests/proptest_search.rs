@@ -1,7 +1,8 @@
 //! Property-based tests for the search substrate: top-k vs. a sort oracle,
 //! exact search vs. brute-force scoring, and cache/LRU behaviour.
 
-use at_search::{search_exact, InvertedIndex, QueryCache, TopK};
+use at_core::RouteKey;
+use at_search::{search_exact, InvertedIndex, QueryCache, SearchRequest, TopK};
 use at_synopsis::{RowStore, SparseRow};
 use proptest::prelude::*;
 
@@ -39,6 +40,24 @@ proptest! {
         oracle.truncate(k);
         let want: Vec<u64> = oracle.into_iter().map(|(d, _)| d).collect();
         prop_assert_eq!(got, want);
+    }
+
+    /// The `RouteKey` law: requests that compare equal hash alike (term
+    /// order and repeats are normalised away before either sees them).
+    #[test]
+    fn equal_search_requests_share_a_route_key(
+        a in prop::collection::vec(0u32..4, 0..4),
+        b in prop::collection::vec(0u32..4, 0..4),
+    ) {
+        let (ra, rb) = (SearchRequest::new(a.clone()), SearchRequest::new(b));
+        if ra == rb {
+            prop_assert_eq!(ra.route_key(), rb.route_key());
+        }
+        let mut doubled = a.clone();
+        doubled.extend(a.iter().rev());
+        let doubled = SearchRequest::new(doubled);
+        prop_assert_eq!(&doubled, &ra);
+        prop_assert_eq!(doubled.route_key(), ra.route_key());
     }
 
     #[test]

@@ -117,7 +117,9 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use at_core::{clock, ComposableService, ExecutionPolicy, FanOutService, ServiceResponse};
+use at_core::{
+    clock, ComposableService, ExecutionPolicy, FanOutService, RouteKey, ServiceResponse,
+};
 
 pub mod control;
 pub mod shard;
@@ -337,7 +339,7 @@ where
 impl<S> Server<S>
 where
     S: ComposableService + Send + Sync + 'static,
-    S::Request: Clone + PartialEq + Send + Sync + 'static,
+    S::Request: Clone + PartialEq + RouteKey + Send + Sync + 'static,
     S::Output: Send + 'static,
     S::Response: Send + 'static,
 {
@@ -623,7 +625,7 @@ fn supervise<S>(
     steal: Option<&StealPlan<S>>,
 ) where
     S: ComposableService + Sync,
-    S::Request: Clone + PartialEq + Send + Sync,
+    S::Request: Clone + PartialEq + RouteKey + Send + Sync,
     S::Output: Send,
     S::Response: Send,
 {
@@ -723,7 +725,7 @@ fn dispatch_loop<S>(
     steal: Option<&StealPlan<S>>,
 ) where
     S: ComposableService + Sync,
-    S::Request: Clone + PartialEq + Sync,
+    S::Request: Clone + PartialEq + RouteKey + Sync,
     S::Output: Send,
 {
     // Per-round scratch, reused across the dispatcher's lifetime: the
@@ -864,7 +866,7 @@ fn serve_round<S>(
     coverage_scratch: &mut Vec<f64>,
 ) where
     S: ComposableService + Sync,
-    S::Request: Clone + PartialEq + Sync,
+    S::Request: Clone + PartialEq + RouteKey + Sync,
     S::Output: Send,
 {
     let dispatched = clock::now();

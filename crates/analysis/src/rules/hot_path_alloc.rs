@@ -30,10 +30,12 @@ contention in the allocator) exactly where tail latency is won or lost.
 
 Scope: the `items` list in analysis.toml (`path/to/file.rs::fn_name`,
 trailing `*` globs the fn name). Closures inside a hot function are hot;
-`#[test]` / `#[cfg(test)]` code is exempt. A deliberate cold path (e.g. a
-pool-miss fallback that allocates once per buffer ever in flight) escapes
-with `lint: allow(hot-path-alloc) reason=...` — the dynamic allocation
-probe (tests/probe_alloc.rs) then proves those paths stay cold.";
+`#[test]` / `#[cfg(test)]` code is exempt. An item whose pattern matches no
+non-test fn in its file is a config error, like a missing file: a renamed
+hot function must not drop out of the guard unnoticed. A deliberate cold
+path (e.g. a pool-miss fallback that allocates once per buffer ever in
+flight) escapes with `lint: allow(hot-path-alloc) reason=...` — the dynamic
+allocation probe (tests/probe_alloc.rs) then proves those paths stay cold.";
 
 pub fn run(
     rule: &RuleConfig,
@@ -57,6 +59,20 @@ pub fn run(
             .collect();
         if patterns.is_empty() {
             continue;
+        }
+        // A pattern that names no function guards nothing: a rename or
+        // deletion must update the item list, not silently shrink it.
+        if let Some(stale) = patterns.iter().find(|p| {
+            !file
+                .ctxs
+                .iter()
+                .any(|ctx| !ctx.in_test && ctx.fn_name.as_deref().is_some_and(|f| fn_matches(p, f)))
+        }) {
+            return Err(ConfigError(format!(
+                "[rules.{NAME}] item `{}::{stale}` matches no non-test fn in that file — \
+                 stale config?",
+                file.rel
+            )));
         }
         for i in 0..file.tokens.len() {
             let ctx = &file.ctxs[i];

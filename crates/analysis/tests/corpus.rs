@@ -127,3 +127,20 @@ fn clean_corpus_produces_no_diagnostics() {
             .join("\n")
     );
 }
+
+#[test]
+fn hot_item_matching_no_fn_is_a_config_error() {
+    let root = fixture("clean");
+    let mut cfg = at_analysis::config::load(&root.join("analysis.toml")).expect("fixture config");
+    let rule = cfg
+        .rules
+        .iter_mut()
+        .find(|r| r.name == "hot-path-alloc")
+        .expect("fixture enables hot-path-alloc");
+    rule.items.push("src/hot.rs::renamed_away".to_string());
+    let err = at_analysis::analyze(&root, &cfg).expect_err("stale item must not pass silently");
+    assert!(
+        err.to_string().contains("src/hot.rs::renamed_away"),
+        "error must name the stale item: {err}"
+    );
+}

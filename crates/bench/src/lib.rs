@@ -10,16 +10,10 @@
 //!   top-10-overlap accuracy numbers by running the real services.
 //! * [`experiments`] — one driver per table/figure (Table 1, Table 2,
 //!   Figures 3–8, the §4.2 creation overheads, and the §4.3 summary).
-//! * [`baseline`] — pre-optimisation hot-path replicas (allocating
-//!   Pearson, eager full-sort ranking) measured as the "before" side of
-//!   the hot-path benchmarks.
 //!
-//! Entry points: `cargo run -p at-bench --bin repro --release -- all`,
-//! `cargo run -p at-bench --bin hotpath --release` (writes
-//! `BENCH_hotpath.json`), or the criterion benches
-//! (`cargo bench -p at-bench`).
+//! Entry points: `cargo run -p at-bench --bin repro --release -- all` or
+//! the criterion benches (`cargo bench -p at-bench`).
 
-pub mod baseline;
 pub mod deployments;
 pub mod experiments;
 pub mod replay;

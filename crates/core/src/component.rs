@@ -23,9 +23,9 @@ use crate::processor::{Algorithm1, ApproximateService, Ctx};
 /// [`FanOutService::replica`](crate::FanOutService::replica)) hold one
 /// `Arc` of this each — N workers, one copy of the data.
 #[derive(Clone, Debug)]
-struct ComponentData {
-    dataset: RowStore,
-    store: SynopsisStore,
+struct ComponentData<R> {
+    dataset: RowStore<R>,
+    store: SynopsisStore<R>,
 }
 
 /// One parallel component of an online service.
@@ -36,20 +36,22 @@ struct ComponentData {
 /// Mutation ([`apply_updates`](Self::apply_updates)) is copy-on-write:
 /// a component whose data is currently shared first un-shares it, so an
 /// updated instance diverges from its replicas instead of racing them.
-pub struct Component<S> {
-    data: Arc<ComponentData>,
+pub struct Component<S: ApproximateService> {
+    data: Arc<ComponentData<S::Row>>,
     service: S,
 }
 
 impl<S: ApproximateService> Component<S> {
-    /// Build a component: runs the offline synopsis-creation pipeline over
-    /// `dataset`.
+    /// Build a component: re-encodes `dataset` into the service's row
+    /// layout (once; a move when that is the interchange layout) and runs
+    /// the offline synopsis-creation pipeline over it.
     pub fn build(
         dataset: RowStore,
         mode: AggregationMode,
         config: SynopsisConfig,
         service: S,
     ) -> (Self, at_synopsis::BuildReport) {
+        let dataset = dataset.into_layout();
         let (store, report) = SynopsisStore::build(&dataset, mode, config);
         (
             Component {
@@ -63,7 +65,10 @@ impl<S: ApproximateService> Component<S> {
     /// Wrap pre-built state (used by tests and the simulator's calibration).
     pub fn from_parts(dataset: RowStore, store: SynopsisStore, service: S) -> Self {
         Component {
-            data: Arc::new(ComponentData { dataset, store }),
+            data: Arc::new(ComponentData {
+                dataset: dataset.into_layout(),
+                store: store.into_layout(),
+            }),
             service,
         }
     }
@@ -83,12 +88,12 @@ impl<S: ApproximateService> Component<S> {
     }
 
     /// The subset of input data.
-    pub fn dataset(&self) -> &RowStore {
+    pub fn dataset(&self) -> &RowStore<S::Row> {
         &self.data.dataset
     }
 
     /// The offline artifacts (synopsis, index file, R-tree, reducer).
-    pub fn store(&self) -> &SynopsisStore {
+    pub fn store(&self) -> &SynopsisStore<S::Row> {
         &self.data.store
     }
 
@@ -98,7 +103,7 @@ impl<S: ApproximateService> Component<S> {
     }
 
     /// Read-only processing context.
-    pub fn ctx(&self) -> Ctx<'_> {
+    pub fn ctx(&self) -> Ctx<'_, S::Row> {
         Ctx {
             dataset: &self.data.dataset,
             store: &self.data.store,
@@ -184,6 +189,7 @@ mod tests {
     struct CountService;
 
     impl ApproximateService for CountService {
+        type Row = at_synopsis::SparseRow;
         type Request = ();
         type Output = usize;
 

@@ -338,12 +338,13 @@ impl<S> FaultyService<S> {
 }
 
 impl<S: ApproximateService> ApproximateService for FaultyService<S> {
+    type Row = S::Row;
     type Request = S::Request;
     type Output = S::Output;
 
     fn process_synopsis(
         &self,
-        ctx: Ctx<'_>,
+        ctx: Ctx<'_, S::Row>,
         req: &Self::Request,
         corr: &mut Vec<Correlation>,
     ) -> Self::Output {
@@ -357,7 +358,7 @@ impl<S: ApproximateService> ApproximateService for FaultyService<S> {
 
     fn process_synopsis_into(
         &self,
-        ctx: Ctx<'_>,
+        ctx: Ctx<'_, S::Row>,
         req: &Self::Request,
         corr: &mut Vec<Correlation>,
         out: &mut Self::Output,
@@ -377,7 +378,7 @@ impl<S: ApproximateService> ApproximateService for FaultyService<S> {
     /// pass and corrupts the flagged requests' scores afterwards.
     fn process_synopsis_batch(
         &self,
-        ctx: Ctx<'_>,
+        ctx: Ctx<'_, S::Row>,
         reqs: &[Self::Request],
         corrs: &mut [Vec<Correlation>],
         outs: &mut Vec<Self::Output>,
@@ -405,7 +406,7 @@ impl<S: ApproximateService> ApproximateService for FaultyService<S> {
 
     fn improve(
         &self,
-        ctx: Ctx<'_>,
+        ctx: Ctx<'_, S::Row>,
         req: &Self::Request,
         out: &mut Self::Output,
         node: at_rtree::NodeId,
@@ -417,7 +418,7 @@ impl<S: ApproximateService> ApproximateService for FaultyService<S> {
         self.inner.improve(ctx, req, out, node, members);
     }
 
-    fn process_exact(&self, ctx: Ctx<'_>, req: &Self::Request) -> Self::Output {
+    fn process_exact(&self, ctx: Ctx<'_, S::Row>, req: &Self::Request) -> Self::Output {
         // The exact path is the component's stage-1 ingress too.
         let _ = self.injector.trip(FaultSite::Stage1);
         self.inner.process_exact(ctx, req)

@@ -45,7 +45,7 @@
 use std::cell::RefCell;
 use std::time::Instant;
 
-use at_synopsis::{RowStore, SynopsisStore};
+use at_synopsis::{Row, RowStore, SparseRow, SynopsisStore};
 
 use crate::clock;
 use crate::correlation::{rank, rank_top, Correlation};
@@ -101,14 +101,25 @@ fn with_batch_scratch<R>(n: usize, f: impl FnOnce(&mut [Vec<Correlation>]) -> R)
     })
 }
 
-/// Read-only view a service implementation gets of a component's state.
-#[derive(Clone, Copy)]
-pub struct Ctx<'a> {
+/// Read-only view a service implementation gets of a component's state,
+/// both halves stored in the service's row layout `R`
+/// ([`ApproximateService::Row`]).
+pub struct Ctx<'a, R = SparseRow> {
     /// The component's subset of original input data.
-    pub dataset: &'a RowStore,
+    pub dataset: &'a RowStore<R>,
     /// The synopsis store (synopsis + index file + R-tree + reducer).
-    pub store: &'a SynopsisStore,
+    pub store: &'a SynopsisStore<R>,
 }
+
+// Two shared references: `Copy` whatever `R` is (a derive would demand
+// `R: Copy`).
+impl<R> Clone for Ctx<'_, R> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<R> Copy for Ctx<'_, R> {}
 
 /// Service-specific request processing hooks.
 ///
@@ -118,6 +129,10 @@ pub struct Ctx<'a> {
 /// `improve` feeds it one ranked set of original points, `process_exact`
 /// feeds it everything.
 pub trait ApproximateService {
+    /// The layout this service's kernels read rows in. A component stores
+    /// its subset and synopsis in it — once — so the choice is made per
+    /// adapter, at compile time.
+    type Row: Row;
     /// Request type (active user + target items; query terms; …).
     type Request;
     /// Per-component result type (rating estimate; top-k heap; …).
@@ -133,7 +148,7 @@ pub trait ApproximateService {
     /// only push into it — never assume ownership or keep references.
     fn process_synopsis(
         &self,
-        ctx: Ctx<'_>,
+        ctx: Ctx<'_, Self::Row>,
         req: &Self::Request,
         corr: &mut Vec<Correlation>,
     ) -> Self::Output;
@@ -150,7 +165,7 @@ pub trait ApproximateService {
     /// before accumulating.
     fn process_synopsis_into(
         &self,
-        ctx: Ctx<'_>,
+        ctx: Ctx<'_, Self::Row>,
         req: &Self::Request,
         corr: &mut Vec<Correlation>,
         out: &mut Self::Output,
@@ -178,7 +193,7 @@ pub trait ApproximateService {
     /// *streams*, and this hook is where that amortization lives.
     fn process_synopsis_batch(
         &self,
-        ctx: Ctx<'_>,
+        ctx: Ctx<'_, Self::Row>,
         reqs: &[Self::Request],
         corrs: &mut [Vec<Correlation>],
         outs: &mut Vec<Self::Output>,
@@ -202,7 +217,7 @@ pub trait ApproximateService {
     /// synopsis-estimated contribution before adding the exact one.
     fn improve(
         &self,
-        ctx: Ctx<'_>,
+        ctx: Ctx<'_, Self::Row>,
         req: &Self::Request,
         out: &mut Self::Output,
         node: at_rtree::NodeId,
@@ -211,7 +226,7 @@ pub trait ApproximateService {
 
     /// Baseline: full computation over the entire input data — what the
     /// paper's Basic / request-reissue / partial-execution techniques run.
-    fn process_exact(&self, ctx: Ctx<'_>, req: &Self::Request) -> Self::Output;
+    fn process_exact(&self, ctx: Ctx<'_, Self::Row>, req: &Self::Request) -> Self::Output;
 }
 
 /// A fan-out service that can merge ordered per-component partial outputs
@@ -230,14 +245,18 @@ pub trait ComposableService: ApproximateService {
 }
 
 /// The Algorithm 1 engine bound to one component's state.
-pub struct Algorithm1<'a, S> {
-    ctx: Ctx<'a>,
+pub struct Algorithm1<'a, S: ApproximateService> {
+    ctx: Ctx<'a, S::Row>,
     service: &'a S,
 }
 
 impl<'a, S: ApproximateService> Algorithm1<'a, S> {
     /// Bind the engine to a component's dataset/synopsis and service hooks.
-    pub fn new(dataset: &'a RowStore, store: &'a SynopsisStore, service: &'a S) -> Self {
+    pub fn new(
+        dataset: &'a RowStore<S::Row>,
+        store: &'a SynopsisStore<S::Row>,
+        service: &'a S,
+    ) -> Self {
         Algorithm1 {
             ctx: Ctx { dataset, store },
             service,
@@ -466,7 +485,7 @@ impl<'a, S: ApproximateService> Algorithm1<'a, S> {
     }
 
     /// The component context (for adapters needing direct access).
-    pub fn ctx(&self) -> Ctx<'a> {
+    pub fn ctx(&self) -> Ctx<'a, S::Row> {
         self.ctx
     }
 }
@@ -484,6 +503,7 @@ mod tests {
     struct SumService;
 
     impl ApproximateService for SumService {
+        type Row = at_synopsis::SparseRow;
         type Request = u32;
         type Output = f64;
 
@@ -537,6 +557,7 @@ mod tests {
     struct StaleIndexService;
 
     impl ApproximateService for StaleIndexService {
+        type Row = at_synopsis::SparseRow;
         type Request = u32;
         type Output = f64;
 

@@ -554,6 +554,7 @@ where
     /// // A toy service: count the original rows each component processed.
     /// struct CountRows;
     /// impl ApproximateService for CountRows {
+    ///     type Row = at_synopsis::SparseRow;
     ///     type Request = ();
     ///     type Output = usize;
     ///     fn process_synopsis(&self, ctx: Ctx<'_>, _r: &(), corr: &mut Vec<Correlation>) -> usize {
@@ -757,6 +758,7 @@ mod tests {
     struct CountService;
 
     impl ApproximateService for CountService {
+        type Row = at_synopsis::SparseRow;
         type Request = ();
         type Output = usize;
 
@@ -923,6 +925,7 @@ mod tests {
     );
 
     impl<R: Copy + Into<u32>> ApproximateService for MeteredService<R> {
+        type Row = at_synopsis::SparseRow;
         type Request = R;
         type Output = usize;
 

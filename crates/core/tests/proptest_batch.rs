@@ -62,6 +62,7 @@ fn synopsis_step(
 }
 
 impl ApproximateService for ColumnSum {
+    type Row = at_synopsis::SparseRow;
     type Request = Vec<u32>;
     type Output = Vec<f64>;
 
@@ -164,6 +165,7 @@ impl ComposableService for ColumnSum {
 struct StaleColumnSum;
 
 impl ApproximateService for StaleColumnSum {
+    type Row = at_synopsis::SparseRow;
     type Request = Vec<u32>;
     type Output = Vec<f64>;
 
@@ -226,6 +228,7 @@ impl RouteKey for ByLen {
 struct CollidingColumnSum;
 
 impl ApproximateService for CollidingColumnSum {
+    type Row = at_synopsis::SparseRow;
     type Request = ByLen;
     type Output = Vec<f64>;
 

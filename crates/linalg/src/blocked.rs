@@ -53,14 +53,26 @@ pub struct BlockedRow {
 
 impl BlockedRow {
     /// Build from parallel `(cols, vals)` with `cols` strictly ascending
-    /// (the [`crate::SparseMatrix`] / `SparseRow` invariant).
+    /// (the [`crate::SparseMatrix`] / `SparseRow` invariant). The three
+    /// vectors are sized exactly: a stored row carries no growth slack.
+    ///
+    /// # Panics
+    /// Panics if the lengths differ or `cols` is not strictly ascending —
+    /// descending block ids would make the block merges skip intersections
+    /// silently, and this may be the only stored copy of the row.
     pub fn from_sorted(cols: &[u32], vals: &[f64]) -> Self {
-        debug_assert_eq!(cols.len(), vals.len());
-        debug_assert!(cols.windows(2).all(|w| w[0] < w[1]), "cols not sorted");
+        assert_eq!(cols.len(), vals.len(), "cols/vals length mismatch");
+        // First pass: count occupied blocks (and check the order the
+        // second pass relies on).
+        let mut blocks = usize::from(!cols.is_empty());
+        for w in cols.windows(2) {
+            assert!(w[0] < w[1], "cols not strictly ascending");
+            blocks += usize::from(w[0] / LANES as u32 != w[1] / LANES as u32);
+        }
         let mut row = BlockedRow {
-            ids: Vec::new(),
-            masks: Vec::new(),
-            lanes: Vec::new(),
+            ids: Vec::with_capacity(blocks),
+            masks: Vec::with_capacity(blocks),
+            lanes: Vec::with_capacity(blocks),
         };
         for (&c, &v) in cols.iter().zip(vals) {
             let id = c / LANES as u32;
@@ -263,6 +275,23 @@ mod tests {
         assert_eq!(b.nnz(), 5);
         assert_eq!(b.num_blocks(), 3); // blocks 0, 1, 3
         assert_eq!(b.to_sorted(), (cols, vals));
+    }
+
+    #[test]
+    fn from_sorted_sizes_exactly() {
+        // 48 occupied blocks: doubling growth would leave capacity 64.
+        let cols: Vec<u32> = (0..48).map(|b| b * LANES as u32 + b % 3).collect();
+        let b = BlockedRow::from_sorted(&cols, &vec![1.0; 48]);
+        assert_eq!(b.num_blocks(), 48);
+        assert_eq!(b.ids.capacity(), 48);
+        assert_eq!(b.masks.capacity(), 48);
+        assert_eq!(b.lanes.capacity(), 48);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn from_sorted_rejects_descending_cols() {
+        BlockedRow::from_sorted(&[9, 1], &[1.0, 2.0]);
     }
 
     #[test]

@@ -15,9 +15,7 @@ use at_core::{ApproximateService, ComposableService, Correlation, Ctx};
 use at_linalg::BlockedRow;
 use at_rtree::NodeId;
 
-use crate::predict::{
-    accumulate_neighbor_blocked, user_weight, user_weight_blocked, PredictionAcc,
-};
+use crate::predict::{accumulate_neighbor_blocked, user_weight_blocked, PredictionAcc};
 use crate::ratings::ActiveUser;
 
 /// The user-based CF service, AccuracyTrader-enabled.
@@ -27,8 +25,9 @@ use crate::ratings::ActiveUser;
 /// weight) and reads neighbour means from the stores' cached
 /// [`at_linalg::RowStats`] — no per-neighbour allocation or value rescans.
 /// Both kernels run block-aligned ([`user_weight_blocked`] /
-/// [`accumulate_neighbor_blocked`]) over the blocked renderings cached in
-/// the stores and the request — bit-identical to the scalar merges, so the
+/// [`accumulate_neighbor_blocked`]), so the service's stored layout is
+/// [`BlockedRow`]: the stores and the request hold their rows in it and
+/// nowhere else. The kernels are bit-identical to the scalar merges, so the
 /// layout is purely a perf decision.
 ///
 /// Batch-aware: `process_synopsis_batch` makes **one** pass over the
@@ -53,22 +52,21 @@ fn reset_acc(acc: &mut Vec<PredictionAcc>, req: &ActiveUser) {
 /// so both produce bit-identical results.
 fn synopsis_step(
     req: &ActiveUser,
-    p: &at_synopsis::AggregatedPoint,
-    pb: &BlockedRow,
+    p: &at_synopsis::AggregatedPoint<BlockedRow>,
     stats: at_linalg::RowStats,
     corr: &mut Vec<Correlation>,
     acc: &mut [PredictionAcc],
 ) {
     // One weight per aggregated user: it is both the correlation
     // estimate c_i and the prediction weight.
-    let (w, _) = user_weight_blocked(req.profile_blocked(), pb);
+    let (w, _) = user_weight_blocked(req.profile(), &p.info);
     corr.push(Correlation {
         node: p.node,
         score: w.abs(),
     });
     accumulate_neighbor_blocked(
         req.targets_blocked(),
-        pb,
+        &p.info,
         w,
         stats.mean(),
         p.member_count as f64,
@@ -77,12 +75,13 @@ fn synopsis_step(
 }
 
 impl ApproximateService for CfService {
+    type Row = BlockedRow;
     type Request = ActiveUser;
     type Output = Vec<PredictionAcc>;
 
     fn process_synopsis(
         &self,
-        ctx: Ctx<'_>,
+        ctx: Ctx<'_, BlockedRow>,
         req: &ActiveUser,
         corr: &mut Vec<Correlation>,
     ) -> Self::Output {
@@ -94,7 +93,7 @@ impl ApproximateService for CfService {
 
     fn process_synopsis_into(
         &self,
-        ctx: Ctx<'_>,
+        ctx: Ctx<'_, BlockedRow>,
         req: &ActiveUser,
         corr: &mut Vec<Correlation>,
         out: &mut Self::Output,
@@ -102,18 +101,14 @@ impl ApproximateService for CfService {
         reset_acc(out, req);
         let synopsis = ctx.store.synopsis();
         corr.reserve(synopsis.len());
-        for ((p, stats), pb) in synopsis
-            .points_with_stats()
-            .iter()
-            .zip(synopsis.points_blocked())
-        {
-            synopsis_step(req, p, pb, *stats, corr, out);
+        for (p, stats) in synopsis.points_with_stats() {
+            synopsis_step(req, p, *stats, corr, out);
         }
     }
 
     fn process_synopsis_batch(
         &self,
-        ctx: Ctx<'_>,
+        ctx: Ctx<'_, BlockedRow>,
         reqs: &[ActiveUser],
         corrs: &mut [Vec<Correlation>],
         outs: &mut Vec<Self::Output>,
@@ -127,7 +122,6 @@ impl ApproximateService for CfService {
         );
         let synopsis = ctx.store.synopsis();
         let points = synopsis.points_with_stats();
-        let blocked = synopsis.points_blocked();
         for corr in corrs.iter_mut() {
             corr.reserve(points.len());
         }
@@ -143,13 +137,13 @@ impl ApproximateService for CfService {
         let mut start = 0usize;
         while start < reqs.len() {
             let end = (start + tile).min(reqs.len());
-            for ((p, stats), pb) in points.iter().zip(blocked) {
+            for (p, stats) in points {
                 for ((req, corr), out) in reqs[start..end]
                     .iter()
                     .zip(corrs[start..end].iter_mut())
                     .zip(outs[start..end].iter_mut())
                 {
-                    synopsis_step(req, p, pb, *stats, corr, out);
+                    synopsis_step(req, p, *stats, corr, out);
                 }
             }
             start = end;
@@ -158,18 +152,18 @@ impl ApproximateService for CfService {
 
     fn improve(
         &self,
-        ctx: Ctx<'_>,
+        ctx: Ctx<'_, BlockedRow>,
         req: &ActiveUser,
         out: &mut Self::Output,
         node: NodeId,
         members: &[u64],
     ) {
         // Back out the aggregated user's estimated contribution...
-        if let Some((p, stats, pb)) = ctx.store.synopsis().point_full(node) {
-            let (w, _) = user_weight_blocked(req.profile_blocked(), pb);
+        if let Some((p, stats)) = ctx.store.synopsis().point_with_stats(node) {
+            let (w, _) = user_weight_blocked(req.profile(), &p.info);
             accumulate_neighbor_blocked(
                 req.targets_blocked(),
-                pb,
+                &p.info,
                 w,
                 stats.mean(),
                 -(p.member_count as f64),
@@ -178,8 +172,8 @@ impl ApproximateService for CfService {
         }
         // ...and put in the exact contributions of its original users.
         for &m in members {
-            let rb = ctx.dataset.row_blocked(m);
-            let (w, _) = user_weight_blocked(req.profile_blocked(), rb);
+            let rb = ctx.dataset.row(m);
+            let (w, _) = user_weight_blocked(req.profile(), rb);
             accumulate_neighbor_blocked(
                 req.targets_blocked(),
                 rb,
@@ -191,11 +185,11 @@ impl ApproximateService for CfService {
         }
     }
 
-    fn process_exact(&self, ctx: Ctx<'_>, req: &ActiveUser) -> Self::Output {
+    fn process_exact(&self, ctx: Ctx<'_, BlockedRow>, req: &ActiveUser) -> Self::Output {
         let mut acc = vec![PredictionAcc::default(); req.targets.len()];
         for id in ctx.dataset.ids() {
-            let rb = ctx.dataset.row_blocked(id);
-            let (w, _) = user_weight_blocked(req.profile_blocked(), rb);
+            let rb = ctx.dataset.row(id);
+            let (w, _) = user_weight_blocked(req.profile(), rb);
             accumulate_neighbor_blocked(
                 req.targets_blocked(),
                 rb,
@@ -232,7 +226,7 @@ impl ComposableService for CfService {
 /// into `n_sections`, and return each section's percentage of *original*
 /// users that are highly related (|weight| > `threshold`, paper: 0.8).
 pub fn section_relatedness(
-    ctx: Ctx<'_>,
+    ctx: Ctx<'_, BlockedRow>,
     req: &ActiveUser,
     threshold: f64,
     n_sections: usize,
@@ -250,7 +244,7 @@ pub fn section_relatedness(
             for c in *sec {
                 let members = ctx.store.index().members(c.node).expect("indexed node");
                 for &m in members {
-                    let (w, _) = user_weight(&req.profile, ctx.dataset.row(m));
+                    let (w, _) = user_weight_blocked(req.profile(), ctx.dataset.row(m));
                     if w.abs() > threshold {
                         related += 1;
                     }

@@ -8,7 +8,7 @@
 
 use at_linalg::pearson::pearson_on_common;
 use at_linalg::{for_each_common_slot, pearson_on_common_blocked, BlockedRow, BlockedSet};
-use at_synopsis::SparseRow;
+use at_synopsis::{Row, SparseRow};
 
 use crate::ratings::ActiveUser;
 
@@ -55,9 +55,9 @@ pub fn user_weight(active: &SparseRow, neighbor: &SparseRow) -> (f64, usize) {
     }
 }
 
-/// Block-aligned [`user_weight`] over cached blocked rows: the serving-path
-/// variant (profile from [`ActiveUser::profile_blocked`], neighbour from
-/// the `RowStore`/`Synopsis` blocked caches). **Bit-identical** to
+/// Block-aligned [`user_weight`] over blocked rows: the serving-path
+/// variant (profile from [`ActiveUser::profile`], neighbour straight out of
+/// the blocked `RowStore`/`Synopsis`). **Bit-identical** to
 /// [`user_weight`] — the blocked kernel folds the same intersection through
 /// the same Welford recurrence in the same order, only the intersection
 /// *discovery* is block-parallel.
@@ -158,7 +158,7 @@ pub fn weigh_and_accumulate(
     multiplier: f64,
     acc: &mut [PredictionAcc],
 ) {
-    let (w, _) = user_weight(&active.profile, neighbor);
+    let (w, _) = user_weight(&active.profile().decode(), neighbor);
     if w == 0.0 {
         return;
     }
@@ -287,8 +287,8 @@ mod tests {
             (17, 2.0),
         ]);
         let nb = BlockedRow::from_sorted(&n.cols, &n.vals);
-        let (ws, cs) = user_weight(&active.profile, &n);
-        let (wb, cb) = user_weight_blocked(active.profile_blocked(), &nb);
+        let (ws, cs) = user_weight(&active.profile().decode(), &n);
+        let (wb, cb) = user_weight_blocked(active.profile(), &nb);
         assert_eq!(cs, cb);
         assert_eq!(ws.to_bits(), wb.to_bits());
         let mean = at_linalg::RowStats::of(&n.vals).mean();
@@ -311,7 +311,7 @@ mod tests {
         let n = row(vec![(0, 4.0), (1, 2.0), (4, 1.0), (5, 5.0), (9, 2.0)]);
         let mut via_wrapper = vec![PredictionAcc::default(); 4];
         weigh_and_accumulate(&active, &n, 2.0, &mut via_wrapper);
-        let (w, _) = user_weight(&active.profile, &n);
+        let (w, _) = user_weight(&active.profile().decode(), &n);
         let mean = at_linalg::RowStats::of(&n.vals).mean();
         let mut via_precomputed = vec![PredictionAcc::default(); 4];
         accumulate_neighbor(&active, &n, w, mean, 2.0, &mut via_precomputed);

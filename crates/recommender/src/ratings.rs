@@ -2,8 +2,8 @@
 //! synopsis pipeline and CF algorithm consume.
 
 use at_core::{Fnv1a, RouteKey};
-use at_linalg::{BlockedRow, BlockedSet};
-use at_synopsis::{RowStore, SparseRow};
+use at_linalg::{BlockedRow, BlockedSet, RowStats};
+use at_synopsis::{Row, RowStore, SparseRow};
 use at_workloads::Rating;
 
 /// Build a user-row store (`n_users × n_items`) from rating triples.
@@ -25,23 +25,22 @@ pub fn rating_matrix(n_users: usize, n_items: usize, ratings: &[Rating]) -> RowS
 /// An active user's request: their known ratings (for weight computation)
 /// and the items whose ratings to predict.
 ///
-/// `PartialEq` compares profile and targets exactly — the same two fields
-/// [`RouteKey`] hashes; the blocked caches are pure functions of them. The
-/// batched serving path uses both to collapse duplicate requests in one
-/// batch.
+/// `PartialEq` compares profile and targets exactly — the same two things
+/// [`RouteKey`] hashes; the private stats and target set are pure functions
+/// of them. The batched serving path uses both to collapse duplicate
+/// requests in one batch.
 ///
-/// The blocked renderings of the profile and target list are built once at
-/// [`new`](ActiveUser::new) — request construction, off the warm path — so
-/// the serving kernels read dense lanes without per-request conversion.
-/// They stay private: every construction goes through `new`, which keeps
-/// them in sync with the public fields.
+/// The profile is stored once, in the blocked form the serving kernels read
+/// (encoded at [`new`](ActiveUser::new) — request construction, off the
+/// warm path); [`Row::decode`] gives the interchange form back for cold
+/// paths. The blocked target set stays private: every construction goes
+/// through `new`, which keeps it in sync with the public `targets`.
 #[derive(Clone, Debug)]
 pub struct ActiveUser {
-    /// The active user's profile: item → rating.
-    pub profile: SparseRow,
     /// Items to predict, sorted ascending.
     pub targets: Vec<u32>,
-    blocked_profile: BlockedRow,
+    profile: BlockedRow,
+    profile_stats: RowStats,
     blocked_targets: BlockedSet,
 }
 
@@ -52,24 +51,27 @@ impl PartialEq for ActiveUser {
 }
 
 impl ActiveUser {
-    /// Build a request; sorts and dedups targets, and caches the blocked
-    /// renderings the block-aligned kernels consume.
+    /// Build a request from the user's known ratings (item → rating) and
+    /// the items to predict; sorts and dedups targets.
+    ///
+    /// # Panics
+    /// Panics if `profile.cols` is not strictly ascending or differs in
+    /// length from `profile.vals`.
     pub fn new(profile: SparseRow, mut targets: Vec<u32>) -> Self {
         targets.sort_unstable();
         targets.dedup();
-        let blocked_profile = BlockedRow::from_sorted(&profile.cols, &profile.vals);
         let blocked_targets = BlockedSet::from_sorted(&targets);
         ActiveUser {
-            profile,
             targets,
-            blocked_profile,
+            profile_stats: RowStats::of(&profile.vals),
+            profile: BlockedRow::encode(profile),
             blocked_targets,
         }
     }
 
-    /// Cached blocked rendering of the profile row.
-    pub fn profile_blocked(&self) -> &BlockedRow {
-        &self.blocked_profile
+    /// The active user's profile (item → rating) as stored.
+    pub fn profile(&self) -> &BlockedRow {
+        &self.profile
     }
 
     /// Cached blocked membership/rank set over `targets`.
@@ -80,10 +82,10 @@ impl ActiveUser {
     /// The user's mean rating (fallback prediction); 3.0 for empty profiles
     /// (the mid-scale prior).
     pub fn mean_rating(&self) -> f64 {
-        if self.profile.vals.is_empty() {
+        if self.profile_stats.nnz == 0 {
             3.0
         } else {
-            self.profile.vals.iter().sum::<f64>() / self.profile.vals.len() as f64
+            self.profile_stats.mean()
         }
     }
 }
@@ -95,10 +97,10 @@ impl ActiveUser {
 impl RouteKey for ActiveUser {
     fn route_key(&self) -> u64 {
         let mut h = Fnv1a::new();
-        for (&col, &val) in self.profile.cols.iter().zip(&self.profile.vals) {
+        self.profile.for_each(|col, val| {
             h.write_u32(col);
             h.write_f64(val);
-        }
+        });
         for &target in &self.targets {
             h.write_u32(target);
         }

@@ -5,7 +5,7 @@
 //! return the N best. Built entirely from the prediction primitives, so it
 //! works identically through the exact and AccuracyTrader paths.
 
-use at_synopsis::RowStore;
+use at_synopsis::{Row, RowStore};
 
 use crate::predict::{accumulate_neighbor, user_weight, PredictionAcc};
 use crate::ratings::ActiveUser;
@@ -26,18 +26,19 @@ pub struct Recommendation {
 /// rows of `neighbors`. Ties break toward lower item ids.
 pub fn recommend_top_n(active: &ActiveUser, neighbors: &RowStore, n: usize) -> Vec<Recommendation> {
     // Candidates: every item the active user has NOT rated.
-    let rated: std::collections::HashSet<u32> = active.profile.cols.iter().copied().collect();
+    let profile = active.profile().decode();
+    let rated: std::collections::HashSet<u32> = profile.cols.iter().copied().collect();
     let candidates: Vec<u32> = (0..neighbors.feature_dim() as u32)
         .filter(|i| !rated.contains(i))
         .collect();
     if candidates.is_empty() || n == 0 {
         return Vec::new();
     }
-    let probe = ActiveUser::new(active.profile.clone(), candidates.clone());
+    let probe = ActiveUser::new(profile.clone(), candidates.clone());
     let mut acc = vec![PredictionAcc::default(); probe.targets.len()];
     for id in neighbors.ids() {
         let row = neighbors.row(id);
-        let (w, _) = user_weight(&probe.profile, row);
+        let (w, _) = user_weight(&profile, row);
         accumulate_neighbor(
             &probe,
             row,

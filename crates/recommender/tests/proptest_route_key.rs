@@ -5,7 +5,7 @@
 
 use at_core::RouteKey;
 use at_recommender::ActiveUser;
-use at_synopsis::SparseRow;
+use at_synopsis::{Row, SparseRow};
 use proptest::prelude::*;
 
 /// Requests over a domain small enough that two draws are often equal.
@@ -24,7 +24,7 @@ proptest! {
         if a == b {
             prop_assert_eq!(a.route_key(), b.route_key());
         }
-        let mut flipped = a.profile.clone();
+        let mut flipped = a.profile().decode();
         for v in &mut flipped.vals {
             if *v == 0.0 {
                 *v = -*v;

@@ -97,6 +97,7 @@ impl SearchService {
 }
 
 impl ApproximateService for SearchService {
+    type Row = at_synopsis::SparseRow;
     type Request = SearchRequest;
     type Output = TopK;
 

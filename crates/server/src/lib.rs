@@ -972,6 +972,7 @@ mod tests {
     struct CountService;
 
     impl ApproximateService for CountService {
+        type Row = at_synopsis::SparseRow;
         type Request = u32;
         type Output = usize;
 
@@ -1198,6 +1199,7 @@ mod tests {
     struct PanickyService;
 
     impl ApproximateService for PanickyService {
+        type Row = at_synopsis::SparseRow;
         type Request = u32;
         type Output = usize;
 
@@ -1237,6 +1239,7 @@ mod tests {
     struct ComposePanicService;
 
     impl ApproximateService for ComposePanicService {
+        type Row = at_synopsis::SparseRow;
         type Request = u32;
         type Output = usize;
 

@@ -27,6 +27,7 @@ use proptest::prelude::*;
 struct CountService;
 
 impl ApproximateService for CountService {
+    type Row = at_synopsis::SparseRow;
     type Request = u32;
     type Output = usize;
 

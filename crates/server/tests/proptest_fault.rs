@@ -28,6 +28,7 @@ const COMPONENTS: usize = 3;
 struct CountService;
 
 impl ApproximateService for CountService {
+    type Row = at_synopsis::SparseRow;
     type Request = u32;
     type Output = usize;
 

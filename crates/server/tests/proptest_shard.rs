@@ -27,6 +27,7 @@ use proptest::prelude::*;
 struct CountService;
 
 impl ApproximateService for CountService {
+    type Row = at_synopsis::SparseRow;
     type Request = u32;
     type Output = usize;
 
@@ -71,6 +72,7 @@ struct PoisonCompose;
 const POISON: u32 = 666;
 
 impl ApproximateService for PoisonCompose {
+    type Row = at_synopsis::SparseRow;
     type Request = u32;
     type Output = usize;
 

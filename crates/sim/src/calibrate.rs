@@ -69,6 +69,7 @@ mod tests {
     struct SumService;
 
     impl ApproximateService for SumService {
+        type Row = at_synopsis::SparseRow;
         type Request = u32;
         type Output = f64;
 

@@ -6,17 +6,22 @@
 //!    reduced points and select a depth whose node count makes the synopsis
 //!    roughly `size_ratio` times smaller than the subset.
 //! 3. **Information aggregation** — fold each node's original (unreduced)
-//!    member rows into an aggregated data point. This is the expensive step
-//!    (`O(k × v)`), parallelized with rayon — our stand-in for the paper's
-//!    Spark acceleration.
+//!    member rows into an aggregated data point (`O(k × v)`; the paper
+//!    runs it on Spark).
+//!
+//! One build runs on the thread that called it, so everything a component
+//! keeps is allocated there; deployments parallelise *across* components,
+//! one build per thread. Short-lived helper threads inside step 3 sped up
+//! ~7 % of one build and left behind malloc arenas that a later rebuild
+//! might or might not reuse — a process that rebuilt a deployment held
+//! 0–2 stale copies of it, by thread-exit timing.
 
 use std::time::{Duration, Instant};
 
 use at_linalg::svd::SvdConfig;
 use at_rtree::{RTree, RTreeConfig};
-use rayon::prelude::*;
 
-use crate::dataset::{AggregationMode, RowStore};
+use crate::dataset::{AggregationMode, Row, RowStore, SparseRow};
 use crate::index_file::IndexFile;
 use crate::reduce::Reducer;
 use crate::synopsis::{AggregatedPoint, Synopsis};
@@ -74,7 +79,7 @@ impl BuildReport {
 /// synopsis is generated, the R-tree and the index file are stored and they
 /// can be used as the starting point of synopsis updating."
 #[derive(Clone, Debug)]
-pub struct SynopsisStore {
+pub struct SynopsisStore<R = SparseRow> {
     pub(crate) config: SynopsisConfig,
     pub(crate) mode: AggregationMode,
     pub(crate) reducer: Reducer,
@@ -83,16 +88,33 @@ pub struct SynopsisStore {
     /// tree height changes during incremental updates.
     pub(crate) level_above_leaves: usize,
     pub(crate) index: IndexFile,
-    pub(crate) synopsis: Synopsis,
+    pub(crate) synopsis: Synopsis<R>,
 }
 
 impl SynopsisStore {
-    /// Run the full three-step creation pipeline over `dataset`.
+    /// Re-encode the aggregated rows into layout `R` (the counterpart of
+    /// [`RowStore::into_layout`] for pre-built state).
+    pub fn into_layout<R: Row>(self) -> SynopsisStore<R> {
+        SynopsisStore {
+            config: self.config,
+            mode: self.mode,
+            reducer: self.reducer,
+            tree: self.tree,
+            level_above_leaves: self.level_above_leaves,
+            index: self.index,
+            synopsis: self.synopsis.into_layout(),
+        }
+    }
+}
+
+impl<R: Row> SynopsisStore<R> {
+    /// Run the full three-step creation pipeline over `dataset`; the
+    /// synopsis is stored in the dataset's layout.
     pub fn build(
-        dataset: &RowStore,
+        dataset: &RowStore<R>,
         mode: AggregationMode,
         config: SynopsisConfig,
-    ) -> (SynopsisStore, BuildReport) {
+    ) -> (Self, BuildReport) {
         // Step 1: dimensionality reduction.
         let t0 = Instant::now();
         let reducer = Reducer::fit(dataset, config.svd);
@@ -115,22 +137,16 @@ impl SynopsisStore {
         );
         let organize_time = t1.elapsed();
 
-        // Step 3: aggregate original information per group (rayon-parallel,
-        // replacing the paper's Spark step).
+        // Step 3: aggregate original information per group, on the calling
+        // thread (see the module docs).
         let t2 = Instant::now();
-        let groups: Vec<(at_rtree::NodeId, Vec<u64>)> =
-            index.iter().map(|(n, m)| (n, m.to_vec())).collect();
-        let aggregated: Vec<AggregatedPoint> = groups
-            .par_iter()
-            .map(|(node, members)| AggregatedPoint {
-                node: *node,
+        let mut synopsis = Synopsis::new(mode);
+        for (node, members) in index.iter() {
+            synopsis.upsert(AggregatedPoint {
+                node,
                 info: dataset.aggregate(members, mode),
                 member_count: members.len(),
-            })
-            .collect();
-        let mut synopsis = Synopsis::new(mode);
-        for p in aggregated {
-            synopsis.upsert(p);
+            });
         }
         let aggregate_time = t2.elapsed();
 
@@ -158,7 +174,7 @@ impl SynopsisStore {
     }
 
     /// The synopsis (aggregated data points).
-    pub fn synopsis(&self) -> &Synopsis {
+    pub fn synopsis(&self) -> &Synopsis<R> {
         &self.synopsis
     }
 

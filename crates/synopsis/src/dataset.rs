@@ -6,6 +6,13 @@
 //! vector in the search engine (the paper's step 1 explicitly converts text
 //! to such numeric vectors). [`RowStore`] stores those rows mutably so that
 //! synopsis *updating* can add and change points in place.
+//!
+//! Each row is stored **once**, in the layout its adapter's kernels read
+//! (the [`Row`] parameter: [`SparseRow`] for the search engine's term
+//! merges, [`BlockedRow`] for the recommender's block-aligned Pearson
+//! kernels). [`SparseRow`] is also the interchange form: rows enter a store
+//! (construction, updates) and leave it ([`Row::decode`]) as `SparseRow`s
+//! whatever the stored layout is.
 
 use at_linalg::sparse::{SparseMatrix, SparseMatrixBuilder};
 use at_linalg::{BlockedRow, RowStats};
@@ -25,19 +32,32 @@ pub enum AggregationMode {
 /// A mutable collection of sparse feature rows, keyed by dense point ids
 /// `0..len` (u64 for R-tree compatibility).
 ///
-/// Each row's [`RowStats`] (sum/mean/nnz) is cached alongside it and kept
-/// current by [`push_row`](RowStore::push_row) /
-/// [`replace_row`](RowStore::replace_row), so the per-request serving path
-/// reads a neighbour's mean in `O(1)` instead of rescanning its values.
-/// A [`BlockedRow`] rendering of every row is cached the same way (built at
-/// push/replace time, never on the serving path) so the block-aligned
-/// correlation kernels read dense lanes instead of re-walking the CSR view.
-#[derive(Clone, Debug, Default)]
-pub struct RowStore {
+/// Rows are held in the layout `R` and nowhere else. Each row's
+/// [`RowStats`] (sum/mean/nnz) is cached alongside it and kept current by
+/// [`push_row`](RowStore::push_row) / [`replace_row`](RowStore::replace_row),
+/// so the per-request serving path reads a neighbour's mean in `O(1)`
+/// instead of rescanning its values.
+#[derive(Clone, Debug)]
+pub struct RowStore<R = SparseRow> {
     feature_dim: usize,
-    rows: Vec<SparseRow>,
+    rows: Vec<R>,
     stats: Vec<RowStats>,
-    blocked: Vec<BlockedRow>,
+}
+
+/// The stored layout of a sparse row: how a [`RowStore`] or
+/// [`Synopsis`](crate::Synopsis) keeps each row it owns. An adapter fixes
+/// the layout at compile time (`ApproximateService::Row` in `at-core`);
+/// everything else goes through the [`SparseRow`] interchange form.
+pub trait Row: Clone + std::fmt::Debug + Send + Sync + 'static {
+    /// Encode a row whose `cols` are strictly ascending and parallel to
+    /// `vals` (what [`RowStore::push_row`] has checked).
+    fn encode(row: SparseRow) -> Self;
+
+    /// Decode back to the interchange form; `R::encode(r).decode() == r`.
+    fn decode(&self) -> SparseRow;
+
+    /// Visit the stored `(col, val)` pairs in ascending column order.
+    fn for_each(&self, f: impl FnMut(u32, f64));
 }
 
 /// One sparse row: parallel `(cols, vals)` with `cols` sorted ascending.
@@ -80,14 +100,80 @@ impl SparseRow {
     }
 }
 
+impl Row for SparseRow {
+    fn encode(row: SparseRow) -> Self {
+        row
+    }
+
+    fn decode(&self) -> SparseRow {
+        self.clone()
+    }
+
+    fn for_each(&self, mut f: impl FnMut(u32, f64)) {
+        for (c, v) in self.iter() {
+            f(c, v);
+        }
+    }
+}
+
+impl Row for BlockedRow {
+    fn encode(row: SparseRow) -> Self {
+        BlockedRow::from_sorted(&row.cols, &row.vals)
+    }
+
+    fn decode(&self) -> SparseRow {
+        let (cols, vals) = self.to_sorted();
+        SparseRow { cols, vals }
+    }
+
+    fn for_each(&self, f: impl FnMut(u32, f64)) {
+        BlockedRow::for_each(self, f);
+    }
+}
+
 impl RowStore {
-    /// Empty store whose rows index columns `0..feature_dim`.
+    /// Empty store whose rows index columns `0..feature_dim`. Stores start
+    /// out in the interchange layout; [`into_layout`](Self::into_layout)
+    /// re-encodes one for an adapter.
     pub fn new(feature_dim: usize) -> Self {
         RowStore {
             feature_dim,
             rows: Vec::new(),
             stats: Vec::new(),
-            blocked: Vec::new(),
+        }
+    }
+
+    /// Re-encode every row into layout `R`, consuming the store (each
+    /// interchange row is freed as it is encoded; a move when `R` is
+    /// [`SparseRow`]). The cached stats carry over unchanged.
+    pub fn into_layout<R: Row>(self) -> RowStore<R> {
+        RowStore {
+            feature_dim: self.feature_dim,
+            rows: self.rows.into_iter().map(R::encode).collect(),
+            stats: self.stats,
+        }
+    }
+}
+
+impl<R: Row> RowStore<R> {
+    /// Check a row entering the store: `cols` strictly ascending, in
+    /// range, and parallel to `vals`. The kernels assume all three and
+    /// `SparseRow`'s fields are public, so this is the boundary.
+    fn check(&self, op: &str, row: &SparseRow) {
+        assert_eq!(
+            row.cols.len(),
+            row.vals.len(),
+            "{op}: cols and vals differ in length"
+        );
+        let mut prev = None;
+        for &c in &row.cols {
+            assert!(
+                (c as usize) < self.feature_dim,
+                "{op}: column {c} >= feature_dim {}",
+                self.feature_dim
+            );
+            assert!(prev < Some(c), "{op}: cols not strictly ascending at {c}");
+            prev = Some(c);
         }
     }
 
@@ -109,19 +195,12 @@ impl RowStore {
     /// Append a row, returning its id.
     ///
     /// # Panics
-    /// Panics if any column is out of range.
+    /// Panics if a column is out of range, `cols` is not strictly
+    /// ascending, or `cols` and `vals` differ in length.
     pub fn push_row(&mut self, row: SparseRow) -> u64 {
-        for &c in &row.cols {
-            assert!(
-                (c as usize) < self.feature_dim,
-                "push_row: column {c} >= feature_dim {}",
-                self.feature_dim
-            );
-        }
+        self.check("push_row", &row);
         self.stats.push(RowStats::of(&row.vals));
-        self.blocked
-            .push(BlockedRow::from_sorted(&row.cols, &row.vals));
-        self.rows.push(row);
+        self.rows.push(R::encode(row));
         (self.rows.len() - 1) as u64
     }
 
@@ -129,29 +208,25 @@ impl RowStore {
     /// contents change", paper §2.2).
     ///
     /// # Panics
-    /// Panics if `id` is out of range or a column is out of range.
+    /// Panics if `id` is out of range or the row is malformed (see
+    /// [`push_row`](Self::push_row)).
     pub fn replace_row(&mut self, id: u64, row: SparseRow) {
-        for &c in &row.cols {
-            assert!(
-                (c as usize) < self.feature_dim,
-                "replace_row: column {c} >= feature_dim {}",
-                self.feature_dim
-            );
-        }
+        self.check("replace_row", &row);
         let slot = self
             .rows
             .get_mut(id as usize)
             .unwrap_or_else(|| panic!("replace_row: id {id} out of range"));
         self.stats[id as usize] = RowStats::of(&row.vals);
-        self.blocked[id as usize] = BlockedRow::from_sorted(&row.cols, &row.vals);
-        *slot = row;
+        *slot = R::encode(row);
     }
 
-    /// Borrow row `id`.
+    /// Borrow row `id` in the stored layout — what the serving kernels
+    /// read, with nothing rebuilt ([`Row::decode`] gives the interchange
+    /// form).
     ///
     /// # Panics
     /// Panics if out of range.
-    pub fn row(&self, id: u64) -> &SparseRow {
+    pub fn row(&self, id: u64) -> &R {
         &self.rows[id as usize]
     }
 
@@ -164,16 +239,6 @@ impl RowStore {
         self.stats[id as usize]
     }
 
-    /// Cached blocked rendering of row `id`, maintained like
-    /// [`row_stats`](Self::row_stats): the serving path reads it without
-    /// rebuilding anything.
-    ///
-    /// # Panics
-    /// Panics if out of range.
-    pub fn row_blocked(&self, id: u64) -> &BlockedRow {
-        &self.blocked[id as usize]
-    }
-
     /// All row ids (`0..len`).
     pub fn ids(&self) -> impl Iterator<Item = u64> + '_ {
         0..self.rows.len() as u64
@@ -183,9 +248,7 @@ impl RowStore {
     pub fn to_csr(&self) -> SparseMatrix {
         let mut b = SparseMatrixBuilder::new(self.rows.len(), self.feature_dim);
         for (r, row) in self.rows.iter().enumerate() {
-            for (c, v) in row.iter() {
-                b.push(r, c, v);
-            }
+            row.for_each(|c, v| b.push(r, c, v));
         }
         b.build()
     }
@@ -197,11 +260,11 @@ impl RowStore {
         let mut acc: std::collections::BTreeMap<u32, (f64, u32)> =
             std::collections::BTreeMap::new();
         for &id in members {
-            for (c, v) in self.rows[id as usize].iter() {
+            self.rows[id as usize].for_each(|c, v| {
                 let e = acc.entry(c).or_insert((0.0, 0));
                 e.0 += v;
                 e.1 += 1;
-            }
+            });
         }
         let mut cols = Vec::with_capacity(acc.len());
         let mut vals = Vec::with_capacity(acc.len());
@@ -260,18 +323,6 @@ mod tests {
     }
 
     #[test]
-    fn blocked_cache_tracks_mutations() {
-        let mut s = store();
-        let (cols, vals) = s.row_blocked(0).to_sorted();
-        assert_eq!((cols, vals), (vec![0, 2], vec![4.0, 2.0]));
-        s.replace_row(0, SparseRow::from_pairs(vec![(1, 9.0), (4, 3.0)]));
-        let (cols, vals) = s.row_blocked(0).to_sorted();
-        assert_eq!((cols, vals), (vec![1, 4], vec![9.0, 3.0]));
-        let id = s.push_row(SparseRow::from_pairs(vec![(3, 7.0)]));
-        assert_eq!(s.row_blocked(id).to_sorted(), (vec![3], vec![7.0]));
-    }
-
-    #[test]
     fn replace_row_updates_in_place() {
         let mut s = store();
         s.replace_row(1, SparseRow::from_pairs(vec![(4, 9.0)]));
@@ -292,6 +343,29 @@ mod tests {
     fn push_out_of_range_column_panics() {
         let mut s = RowStore::new(2);
         s.push_row(SparseRow::from_pairs(vec![(5, 1.0)]));
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn push_descending_cols_panics() {
+        let mut s = RowStore::new(16).into_layout::<BlockedRow>();
+        s.push_row(SparseRow {
+            cols: vec![9, 1],
+            vals: vec![1.0, 2.0],
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "differ in length")]
+    fn replace_with_ragged_row_panics() {
+        let mut s = store();
+        s.replace_row(
+            0,
+            SparseRow {
+                cols: vec![1, 2],
+                vals: vec![1.0],
+            },
+        );
     }
 
     #[test]

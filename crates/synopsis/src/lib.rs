@@ -6,6 +6,12 @@
 //! aggregated data points to original points, and incremental synopsis
 //! **updating** driven by input-data additions and changes.
 //!
+//! Stores are generic over the layout they keep rows in ([`Row`]): each row
+//! is stored once, in the layout the serving adapter reads, and
+//! [`SparseRow`] is the interchange form everything is built, updated and
+//! decoded in. The default parameter is `SparseRow`, so plain `RowStore` /
+//! `SynopsisStore` are the CSR stores.
+//!
 //! ```
 //! use at_synopsis::{AggregationMode, RowStore, SparseRow, SynopsisConfig, SynopsisStore};
 //! use at_linalg::svd::SvdConfig;
@@ -43,7 +49,7 @@ pub mod synopsis;
 pub mod update;
 
 pub use build::{BuildReport, SynopsisConfig, SynopsisStore};
-pub use dataset::{AggregationMode, RowStore, SparseRow};
+pub use dataset::{AggregationMode, Row, RowStore, SparseRow};
 pub use index_file::IndexFile;
 pub use multi::{MultiSynopsis, Resolution};
 pub use reduce::Reducer;

@@ -4,7 +4,7 @@
 //! the fitted latent space, so that synopsis *updating* can project new or
 //! changed points into the same space via fold-in (without re-fitting).
 
-use crate::dataset::{RowStore, SparseRow};
+use crate::dataset::{Row, RowStore, SparseRow};
 use at_linalg::svd::{IncrementalSvd, SvdConfig, SvdModel};
 
 /// A fitted dimensionality reducer (the paper's incremental SVD, step 1).
@@ -18,7 +18,7 @@ pub struct Reducer {
 
 impl Reducer {
     /// Fit the reducer over every row of `dataset`.
-    pub fn fit(dataset: &RowStore, config: SvdConfig) -> Self {
+    pub fn fit<R: Row>(dataset: &RowStore<R>, config: SvdConfig) -> Self {
         let csr = dataset.to_csr();
         let model = IncrementalSvd::new(config).fit(&csr);
         Reducer {

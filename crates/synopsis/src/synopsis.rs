@@ -1,17 +1,17 @@
 //! The synopsis itself: the set of aggregated data points.
 
-use crate::dataset::{AggregationMode, SparseRow};
-use at_linalg::{BlockedRow, RowStats};
+use crate::dataset::{AggregationMode, Row, SparseRow};
+use at_linalg::RowStats;
 use at_rtree::NodeId;
 
 /// One aggregated data point: the folded information of a group of similar
 /// original data points (one R-tree node at the synopsis depth).
 #[derive(Clone, Debug)]
-pub struct AggregatedPoint {
+pub struct AggregatedPoint<R = SparseRow> {
     /// The R-tree node this point was cut from (the index-file key).
     pub node: NodeId,
-    /// Aggregated information (mean or merged sparse row).
-    pub info: SparseRow,
+    /// Aggregated information (mean or merged sparse row), in layout `R`.
+    pub info: R,
     /// How many original points it aggregates.
     pub member_count: usize,
 }
@@ -27,7 +27,9 @@ pub struct AggregatedPoint {
 /// at [`upsert`](Synopsis::upsert) time — the per-request path reads the
 /// aggregated neighbour's mean in `O(1)` instead of rescanning its values,
 /// and incremental synopsis updates refresh the cache automatically because
-/// they go through `upsert`/`remove`.
+/// they go through `upsert`/`remove`. Like a [`RowStore`](crate::RowStore),
+/// a synopsis stores each aggregated row once, in the layout `R` of the
+/// adapter that reads it.
 ///
 /// Storage is a `Vec` kept sorted by node id: the per-request path iterates
 /// every point once per component, so [`iter`](Synopsis::iter) /
@@ -35,23 +37,40 @@ pub struct AggregatedPoint {
 /// sort-free. Mutation (binary search + shift on upsert/remove) pays the
 /// `O(m)` cost instead, on the offline/update path where it belongs.
 #[derive(Clone, Debug)]
-pub struct Synopsis {
+pub struct Synopsis<R = SparseRow> {
     mode: AggregationMode,
     /// `(point, stats)` entries sorted ascending by `point.node`.
-    points: Vec<(AggregatedPoint, RowStats)>,
-    /// Blocked rendering of each point's row, index-parallel to `points`
-    /// and maintained by the same `upsert`/`remove` mutations — the batch
-    /// pass reads dense lanes without touching the CSR view.
-    blocked: Vec<BlockedRow>,
+    points: Vec<(AggregatedPoint<R>, RowStats)>,
+}
+
+/// Encode an interchange-form point into layout `R`.
+fn encode_point<R: Row>(point: AggregatedPoint) -> AggregatedPoint<R> {
+    AggregatedPoint {
+        node: point.node,
+        info: R::encode(point.info),
+        member_count: point.member_count,
+    }
 }
 
 impl Synopsis {
+    /// Re-encode every aggregated row into layout `R`, consuming the
+    /// synopsis (a move when `R` is [`SparseRow`]); the cached stats
+    /// carry over unchanged.
+    pub fn into_layout<R: Row>(self) -> Synopsis<R> {
+        let points = self.points.into_iter();
+        Synopsis {
+            mode: self.mode,
+            points: points.map(|(p, s)| (encode_point(p), s)).collect(),
+        }
+    }
+}
+
+impl<R: Row> Synopsis<R> {
     /// Empty synopsis with the given aggregation mode.
     pub fn new(mode: AggregationMode) -> Self {
         Synopsis {
             mode,
             points: Vec::new(),
-            blocked: Vec::new(),
         }
     }
 
@@ -77,36 +96,30 @@ impl Synopsis {
     /// Total stored entries across all aggregated rows (a size proxy for
     /// the "sufficiently small" requirement).
     pub fn total_entries(&self) -> usize {
-        self.points.iter().map(|(p, _)| p.info.nnz()).sum()
+        self.points.iter().map(|(_, s)| s.nnz).sum()
     }
 
     /// The aggregated point cut from `node`, if present.
-    pub fn point(&self, node: NodeId) -> Option<&AggregatedPoint> {
+    pub fn point(&self, node: NodeId) -> Option<&AggregatedPoint<R>> {
         self.position(node).ok().map(|i| &self.points[i].0)
     }
 
     /// The aggregated point of `node` together with its cached row stats.
-    pub fn point_with_stats(&self, node: NodeId) -> Option<(&AggregatedPoint, RowStats)> {
+    pub fn point_with_stats(&self, node: NodeId) -> Option<(&AggregatedPoint<R>, RowStats)> {
         self.position(node).ok().map(|i| {
             let (p, s) = &self.points[i];
             (p, *s)
         })
     }
 
-    /// Insert or replace the aggregated point for `node`, refreshing its
-    /// cached row stats and blocked rendering.
+    /// Insert or replace the aggregated point for `node` (given in the
+    /// interchange form), encoding its row and refreshing its cached stats.
     pub fn upsert(&mut self, point: AggregatedPoint) {
         let stats = RowStats::of(&point.info.vals);
-        let blocked = BlockedRow::from_sorted(&point.info.cols, &point.info.vals);
-        match self.position(point.node) {
-            Ok(i) => {
-                self.points[i] = (point, stats);
-                self.blocked[i] = blocked;
-            }
-            Err(i) => {
-                self.points.insert(i, (point, stats));
-                self.blocked.insert(i, blocked);
-            }
+        let entry = (encode_point(point), stats);
+        match self.position(entry.0.node) {
+            Ok(i) => self.points[i] = entry,
+            Err(i) => self.points.insert(i, entry),
         }
     }
 
@@ -116,7 +129,6 @@ impl Synopsis {
         match self.position(node) {
             Ok(i) => {
                 self.points.remove(i);
-                self.blocked.remove(i);
                 true
             }
             Err(_) => false,
@@ -125,13 +137,13 @@ impl Synopsis {
 
     /// Iterate aggregated points in deterministic (node-id) order.
     /// Allocation-free: this runs once per request per component.
-    pub fn iter(&self) -> impl Iterator<Item = &AggregatedPoint> {
+    pub fn iter(&self) -> impl Iterator<Item = &AggregatedPoint<R>> {
         self.points.iter().map(|(p, _)| p)
     }
 
     /// Iterate aggregated points with their cached row stats, in
     /// deterministic (node-id) order. Allocation-free, like [`iter`](Self::iter).
-    pub fn iter_with_stats(&self) -> impl Iterator<Item = (&AggregatedPoint, RowStats)> {
+    pub fn iter_with_stats(&self) -> impl Iterator<Item = (&AggregatedPoint<R>, RowStats)> {
         self.points.iter().map(|(p, s)| (p, *s))
     }
 
@@ -143,27 +155,8 @@ impl Synopsis {
     /// requests of the batch; contiguous indexed access also lets callers
     /// chunk the pass (e.g. blocking points × requests) where the
     /// streaming iterators above can only run front to back once.
-    pub fn points_with_stats(&self) -> &[(AggregatedPoint, RowStats)] {
+    pub fn points_with_stats(&self) -> &[(AggregatedPoint<R>, RowStats)] {
         &self.points
-    }
-
-    /// Blocked rendering of every aggregated row, index-parallel to
-    /// [`points_with_stats`](Self::points_with_stats) (same node-id order,
-    /// same length). The batch pass zips the two slices so each point's
-    /// dense lanes ride along with its stats.
-    pub fn points_blocked(&self) -> &[BlockedRow] {
-        &self.blocked
-    }
-
-    /// The aggregated point of `node` with its cached stats **and** blocked
-    /// rendering — the stage-2 improvement path backs a point out of the
-    /// running accumulators through the same blocked kernels it was folded
-    /// in with.
-    pub fn point_full(&self, node: NodeId) -> Option<(&AggregatedPoint, RowStats, &BlockedRow)> {
-        self.position(node).ok().map(|i| {
-            let (p, s) = &self.points[i];
-            (p, *s, &self.blocked[i])
-        })
     }
 }
 
@@ -181,7 +174,7 @@ mod tests {
 
     #[test]
     fn upsert_and_lookup() {
-        let mut s = Synopsis::new(AggregationMode::Mean);
+        let mut s = Synopsis::<SparseRow>::new(AggregationMode::Mean);
         s.upsert(pt(3, 10));
         assert_eq!(s.len(), 1);
         assert_eq!(s.point(NodeId::from_index(3)).unwrap().member_count, 10);
@@ -192,7 +185,7 @@ mod tests {
 
     #[test]
     fn remove_reports_presence() {
-        let mut s = Synopsis::new(AggregationMode::Merge);
+        let mut s = Synopsis::<SparseRow>::new(AggregationMode::Merge);
         s.upsert(pt(1, 1));
         assert!(s.remove(NodeId::from_index(1)));
         assert!(!s.remove(NodeId::from_index(1)));
@@ -201,7 +194,7 @@ mod tests {
 
     #[test]
     fn iter_is_sorted_by_node() {
-        let mut s = Synopsis::new(AggregationMode::Mean);
+        let mut s = Synopsis::<SparseRow>::new(AggregationMode::Mean);
         for i in [5u32, 1, 9, 3] {
             s.upsert(pt(i, 1));
         }
@@ -211,7 +204,7 @@ mod tests {
 
     #[test]
     fn upsert_refreshes_cached_stats() {
-        let mut s = Synopsis::new(AggregationMode::Mean);
+        let mut s = Synopsis::<SparseRow>::new(AggregationMode::Mean);
         s.upsert(AggregatedPoint {
             node: NodeId::from_index(7),
             info: SparseRow::from_pairs(vec![(0, 2.0), (1, 4.0)]),
@@ -235,7 +228,7 @@ mod tests {
 
     #[test]
     fn points_with_stats_matches_streaming_iteration() {
-        let mut s = Synopsis::new(AggregationMode::Mean);
+        let mut s = Synopsis::<SparseRow>::new(AggregationMode::Mean);
         for i in [8u32, 2, 5] {
             s.upsert(pt(i, i as usize));
         }
@@ -249,27 +242,8 @@ mod tests {
     }
 
     #[test]
-    fn blocked_slice_stays_parallel_through_mutations() {
-        let mut s = Synopsis::new(AggregationMode::Mean);
-        for i in [5u32, 1, 9, 3] {
-            s.upsert(pt(i, 1));
-        }
-        assert!(s.remove(NodeId::from_index(3)));
-        s.upsert(pt(7, 2));
-        let points = s.points_with_stats();
-        let blocked = s.points_blocked();
-        assert_eq!(points.len(), blocked.len());
-        for ((p, _), b) in points.iter().zip(blocked) {
-            assert_eq!(b.to_sorted(), (p.info.cols.clone(), p.info.vals.clone()));
-        }
-        let (p, _, b) = s.point_full(NodeId::from_index(7)).unwrap();
-        assert_eq!(p.member_count, 2);
-        assert_eq!(b.to_sorted().0, p.info.cols);
-    }
-
-    #[test]
     fn total_entries_sums_rows() {
-        let mut s = Synopsis::new(AggregationMode::Mean);
+        let mut s = Synopsis::<SparseRow>::new(AggregationMode::Mean);
         s.upsert(AggregatedPoint {
             node: NodeId::from_index(0),
             info: SparseRow::from_pairs(vec![(0, 1.0), (3, 1.0)]),

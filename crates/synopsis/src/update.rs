@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 use rayon::prelude::*;
 
 use crate::build::SynopsisStore;
-use crate::dataset::{RowStore, SparseRow};
+use crate::dataset::{Row, RowStore, SparseRow};
 use crate::synopsis::AggregatedPoint;
 
 /// One input-data change.
@@ -51,7 +51,7 @@ pub struct UpdateReport {
     pub duration: Duration,
 }
 
-impl SynopsisStore {
+impl<R: Row> SynopsisStore<R> {
     /// Apply a batch of input-data changes, updating `dataset`, the R-tree,
     /// the index file, and (incrementally) the synopsis.
     ///
@@ -59,7 +59,7 @@ impl SynopsisStore {
     /// Panics if a `Change` references an id not present in `dataset`.
     pub fn apply_updates(
         &mut self,
-        dataset: &mut RowStore,
+        dataset: &mut RowStore<R>,
         updates: Vec<DataUpdate>,
     ) -> UpdateReport {
         let start = Instant::now();

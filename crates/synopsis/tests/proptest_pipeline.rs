@@ -3,8 +3,9 @@
 //! must be exact at all times.
 
 use at_linalg::svd::SvdConfig;
+use at_linalg::BlockedRow;
 use at_synopsis::{
-    AggregationMode, DataUpdate, RowStore, SparseRow, SynopsisConfig, SynopsisStore,
+    AggregationMode, DataUpdate, Row, RowStore, SparseRow, SynopsisConfig, SynopsisStore,
 };
 use proptest::prelude::*;
 
@@ -46,6 +47,11 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         row_strategy().prop_map(Op::Add),
         (0u16..150, row_strategy()).prop_map(|(id, row)| Op::Change(id, row)),
     ]
+}
+
+/// A row down to the bit: `f64` equality would let `-0.0 == 0.0` through.
+fn bits(row: &SparseRow) -> Vec<(u32, u64)> {
+    row.iter().map(|(c, v)| (c, v.to_bits())).collect()
 }
 
 fn to_row(pairs: &[(u8, u8)]) -> SparseRow {
@@ -122,29 +128,74 @@ proptest! {
     }
 
     #[test]
-    fn blocked_rowstore_round_trips_csr_view(ops in prop::collection::vec(op_strategy(), 1..25)) {
-        // The bucketed (blocked) row cache must stay a bit-exact mirror of
-        // the CSR view through arbitrary push/replace sequences.
-        let mut data = base_dataset(40);
-        for op in &ops {
+    fn stored_layouts_round_trip(
+        ops in prop::collection::vec(op_strategy(), 1..25),
+        direct in 0usize..25,
+    ) {
+        // The layout law: a store is a function of the interchange rows
+        // put into it, whatever layout it keeps them in. The first
+        // `direct` ops go through push/replace, the rest through
+        // `apply_updates`, on a CSR and a blocked store side by side.
+        let mut csr = base_dataset(40);
+        let mut blocked = base_dataset(40).into_layout::<BlockedRow>();
+        let direct = direct.min(ops.len());
+        for op in &ops[..direct] {
             match op {
                 Op::Add(pairs) => {
-                    data.push_row(to_row(pairs));
+                    prop_assert_eq!(csr.push_row(to_row(pairs)), blocked.push_row(to_row(pairs)));
                 }
                 Op::Change(id, pairs) => {
-                    data.replace_row(*id as u64 % 40, to_row(pairs));
+                    csr.replace_row(*id as u64 % 40, to_row(pairs));
+                    blocked.replace_row(*id as u64 % 40, to_row(pairs));
                 }
             }
         }
-        let csr = data.to_csr();
-        for id in 0..data.len() {
-            let (cols, vals) = data.row_blocked(id as u64).to_sorted();
-            prop_assert_eq!(cols.as_slice(), csr.row_cols(id), "row {} cols", id);
-            let want = csr.row_values(id);
-            prop_assert_eq!(vals.len(), want.len());
-            for (got, want) in vals.iter().zip(want) {
-                prop_assert_eq!(got.to_bits(), want.to_bits());
-            }
+        let (mut store_csr, _) = SynopsisStore::build(&csr, AggregationMode::Mean, quick_config());
+        let (mut store_blocked, _) =
+            SynopsisStore::build(&blocked, AggregationMode::Mean, quick_config());
+        let updates: Vec<DataUpdate> = ops[direct..]
+            .iter()
+            .map(|op| match op {
+                Op::Add(pairs) => DataUpdate::Add(to_row(pairs)),
+                Op::Change(id, pairs) => DataUpdate::Change {
+                    id: *id as u64 % 40,
+                    row: to_row(pairs),
+                },
+            })
+            .collect();
+        store_csr.apply_updates(&mut csr, updates.clone());
+        store_blocked.apply_updates(&mut blocked, updates);
+        store_blocked.validate().map_err(TestCaseError::fail)?;
+
+        prop_assert_eq!(csr.len(), blocked.len());
+        for id in csr.ids() {
+            prop_assert_eq!(bits(csr.row(id)), bits(&blocked.row(id).decode()), "row {}", id);
+            prop_assert_eq!(csr.row_stats(id), blocked.row_stats(id));
+        }
+        let everyone: Vec<u64> = csr.ids().collect();
+        for mode in [AggregationMode::Mean, AggregationMode::Merge] {
+            prop_assert_eq!(
+                bits(&csr.aggregate(&everyone, mode)),
+                bits(&blocked.aggregate(&everyone, mode))
+            );
+        }
+
+        prop_assert_eq!(store_csr.index().len(), store_blocked.index().len());
+        let csr_points = store_csr.synopsis().points_with_stats();
+        let blocked_points = store_blocked.synopsis().points_with_stats();
+        prop_assert_eq!(csr_points.len(), blocked_points.len());
+        for ((p, stats), (q, stats_q)) in csr_points.iter().zip(blocked_points) {
+            prop_assert_eq!((p.node, p.member_count), (q.node, q.member_count));
+            prop_assert_eq!(store_csr.index().members(p.node), store_blocked.index().members(q.node));
+            prop_assert_eq!(bits(&p.info), bits(&q.info.decode()), "point {:?}", p.node);
+            prop_assert_eq!(stats, stats_q);
+        }
+        // Re-encoding the finished CSR store lands on the same blocked rows.
+        let converted = store_csr.into_layout::<BlockedRow>();
+        for ((p, stats), (q, stats_q)) in
+            converted.synopsis().points_with_stats().iter().zip(blocked_points)
+        {
+            prop_assert_eq!((&p.info, stats), (&q.info, stats_q));
         }
     }
 }

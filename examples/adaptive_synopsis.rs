@@ -43,7 +43,7 @@ fn main() {
         .filter(|r| r.user == 0)
         .map(|r| (r.item, r.stars))
         .collect();
-    let active = ActiveUser::new(SparseRow::from_pairs(profile), vec![0]);
+    let profile = SparseRow::from_pairs(profile);
 
     println!(
         "\n{:<14} {:>10} {:>16} {:>14}",
@@ -59,7 +59,7 @@ fn main() {
             .iter()
             .map(|p| Correlation {
                 node: p.node,
-                score: accuracytrader::recommender::user_weight(&active.profile, &p.info)
+                score: accuracytrader::recommender::user_weight(&profile, &p.info)
                     .0
                     .abs(),
             })

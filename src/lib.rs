@@ -132,7 +132,7 @@ pub mod prelude {
         SimConfig, Technique,
     };
     pub use at_synopsis::{
-        AggregationMode, DataUpdate, RowStore, SparseRow, SynopsisConfig, SynopsisStore,
+        AggregationMode, DataUpdate, Row, RowStore, SparseRow, SynopsisConfig, SynopsisStore,
     };
     pub use at_workloads::{
         Corpus, CorpusConfig, DiurnalPattern, QueryGenerator, RatingsConfig, RatingsDataset,

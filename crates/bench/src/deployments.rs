@@ -30,7 +30,7 @@ pub struct DeployScale {
 }
 
 impl DeployScale {
-    /// Quick scale for tests and criterion benches.
+    /// Quick scale for tests and `--quick` runs.
     pub fn quick() -> Self {
         DeployScale {
             n_components: 6,
@@ -41,7 +41,7 @@ impl DeployScale {
         }
     }
 
-    /// Fuller scale for the `repro` binary.
+    /// Fuller scale for the committed `repro` and `sweep` artifacts.
     pub fn full() -> Self {
         DeployScale {
             n_components: 12,

@@ -1,17 +1,14 @@
 //! One driver per table/figure of the paper's evaluation (§4).
 //!
-//! Every driver returns a plain data struct with a `print()` that emits the
-//! same rows/series the paper reports. The `repro` binary and the criterion
-//! benches call these. Committed measurements live in the root
-//! `BENCH_*.json` artifacts and `benchmark/README.md`.
+//! Every driver returns a plain data struct with a `print_*` that emits the
+//! same rows/series the paper reports. The `repro` binary calls these and
+//! commits Tables 1–2, Figures 6–8 and the summary as `BENCH_paper.json`;
+//! `tests/paper_shapes.rs` pins their shapes at [`ExpScale::quick`].
 
 use at_linalg::svd::SvdConfig;
 use at_recommender::{rating_matrix, section_relatedness, ActiveUser, CfService};
-use at_rtree::RTreeConfig;
 use at_search::{section_top_k_coverage, SearchRequest, SearchService};
-use at_sim::{
-    run_fixed_rate, run_hour_window, CostModel, RequestSample, SimConfig, SimResult, Technique,
-};
+use at_sim::{run_fixed_rate, run_hour_window, CostModel, RequestSample, SimConfig, Technique};
 use at_synopsis::{
     AggregationMode, DataUpdate, RowStore, SparseRow, SynopsisConfig, SynopsisStore,
 };
@@ -21,7 +18,7 @@ use at_workloads::{
 };
 use rayon::prelude::*;
 
-use crate::deployments::{build_recommender, build_search, DeployScale};
+use crate::deployments::{build_recommender, build_search, DeployScale, SearchDeployment};
 use crate::replay::{rec_accuracy_loss, search_accuracy_loss, Budget};
 
 /// Knobs controlling how much compute each experiment burns.
@@ -51,7 +48,7 @@ pub struct ExpScale {
 }
 
 impl ExpScale {
-    /// Small scale: seconds per experiment (tests, criterion).
+    /// Small scale: seconds per experiment (tests, CI smoke).
     pub fn quick() -> Self {
         ExpScale {
             deploy: DeployScale::quick(),
@@ -163,8 +160,8 @@ pub fn print_creation(reports: &[CreationReport]) {
 fn offline_synopsis_config(scale: &ExpScale, ratio: usize) -> SynopsisConfig {
     SynopsisConfig {
         svd: SvdConfig::paper().with_seed(scale.seed),
-        rtree: RTreeConfig::default(),
         size_ratio: ratio,
+        ..SynopsisConfig::default()
     }
 }
 
@@ -219,12 +216,18 @@ pub struct Fig3 {
 pub fn fig3(scale: &ExpScale) -> Fig3 {
     let percents: Vec<usize> = (1..=10).collect();
     let mut series = Vec::new();
-    for service in ["recommender", "search"] {
-        let (data, mode) = if service == "recommender" {
-            (offline_recommender_subset(scale).0, AggregationMode::Mean)
-        } else {
-            (offline_search_subset(scale).0, AggregationMode::Merge)
-        };
+    for (service, data, mode) in [
+        (
+            "recommender",
+            offline_recommender_subset(scale).0,
+            AggregationMode::Mean,
+        ),
+        (
+            "search",
+            offline_search_subset(scale).0,
+            AggregationMode::Merge,
+        ),
+    ] {
         let cfg = offline_synopsis_config(scale, 60);
         let (store, _) = SynopsisStore::build(&data, mode, cfg);
 
@@ -262,15 +265,7 @@ pub fn fig3(scale: &ExpScale) -> Fig3 {
                 })
                 .collect()
         });
-        series.push((
-            if service == "recommender" {
-                "recommender"
-            } else {
-                "search"
-            },
-            adds,
-            changes,
-        ));
+        series.push((service, adds, changes));
     }
     Fig3 { percents, series }
 }
@@ -301,6 +296,20 @@ pub struct Fig4 {
     pub n_requests: usize,
 }
 
+impl Fig4 {
+    /// Average each request's ten per-section percentages.
+    fn mean_of(per_request: &[Vec<f64>]) -> Fig4 {
+        let n_requests = per_request.len();
+        let sections = (0..10)
+            .map(|s| per_request.iter().map(|r| r[s]).sum::<f64>() / n_requests as f64)
+            .collect();
+        Fig4 {
+            sections,
+            n_requests,
+        }
+    }
+}
+
 /// Figure 4(a): recommender — % of highly related users (|w| > 0.8) per
 /// ranked section of aggregated users.
 pub fn fig4a(scale: &ExpScale) -> Fig4 {
@@ -313,7 +322,7 @@ pub fn fig4a(scale: &ExpScale) -> Fig4 {
 
     let (train, _) = data.holdout_split(0.8, scale.seed);
     let n_requests = scale.deploy.n_requests.min(100);
-    let sums: Vec<f64> = (0..n_requests as u32)
+    let per_request: Vec<Vec<f64>> = (0..n_requests as u32)
         .into_par_iter()
         .map(|user| {
             let profile: Vec<(u32, f64)> = train
@@ -324,19 +333,8 @@ pub fn fig4a(scale: &ExpScale) -> Fig4 {
             let req = ActiveUser::new(SparseRow::from_pairs(profile), vec![0]);
             section_relatedness(component.ctx(), &req, 0.8, 10)
         })
-        .reduce(
-            || vec![0.0; 10],
-            |mut a, b| {
-                for (x, y) in a.iter_mut().zip(&b) {
-                    *x += y;
-                }
-                a
-            },
-        );
-    Fig4 {
-        sections: sums.iter().map(|s| s / n_requests as f64).collect(),
-        n_requests,
-    }
+        .collect();
+    Fig4::mean_of(&per_request)
 }
 
 /// Figure 4(b): search — % of actual top-10 pages per ranked section of
@@ -355,22 +353,11 @@ pub fn fig4b(scale: &ExpScale) -> Fig4 {
         .iter()
         .map(SearchRequest::from)
         .collect();
-    let sums: Vec<f64> = queries
+    let per_request: Vec<Vec<f64>> = queries
         .par_iter()
         .map(|q| section_top_k_coverage(component.ctx(), component.service(), q, 10))
-        .reduce(
-            || vec![0.0; 10],
-            |mut a, b| {
-                for (x, y) in a.iter_mut().zip(&b) {
-                    *x += y;
-                }
-                a
-            },
-        );
-    Fig4 {
-        sections: sums.iter().map(|s| s / n_requests as f64).collect(),
-        n_requests,
-    }
+        .collect();
+    Fig4::mean_of(&per_request)
 }
 
 /// Print Figure 4(a) or (b).
@@ -386,12 +373,71 @@ pub fn print_fig4(label: &str, f: &Fig4) {
 }
 
 // ---------------------------------------------------------------------
+// The compared techniques, at the paper's settings
+// ---------------------------------------------------------------------
+
+/// The paper's 100 ms service deadline.
+const DEADLINE_S: f64 = 0.1;
+const PARTIAL: Technique = Technique::Partial {
+    deadline_s: DEADLINE_S,
+};
+const REISSUE: Technique = Technique::Reissue {
+    trigger_percentile: 95.0,
+};
+
+/// AccuracyTrader; the search workload caps stage 2 at the top 40 % of
+/// ranked sets (`imax_frac`), the CF workload does not.
+fn accuracy_trader(imax_frac: Option<f64>) -> Technique {
+    Technique::AccuracyTrader {
+        deadline_s: DEADLINE_S,
+        imax: imax_frac.map(|f| (CostModel::default().n_sets as f64 * f).ceil() as usize),
+    }
+}
+
+/// The search workload's `i_max` fraction.
+const SEARCH_IMAX: Option<f64> = Some(0.4);
+
+/// Replay budget of an AccuracyTrader sample.
+fn sets_budget(s: &RequestSample, imax_frac: Option<f64>) -> Budget<'_> {
+    Budget::Sets {
+        sets: s.sets_processed.as_ref().expect("AT sets"),
+        sim_total: CostModel::default().n_sets,
+        imax_frac,
+    }
+}
+
+/// Replay budget of a partial-execution sample.
+fn mask_budget(s: &RequestSample) -> Budget<'_> {
+    Budget::Mask(s.made_deadline.as_ref().expect("partial mask"))
+}
+
+/// Search accuracy-loss % of (partial execution, AccuracyTrader) over one
+/// window's samples; an empty window scores 0.
+fn search_losses(
+    deployment: &SearchDeployment,
+    partial: &[RequestSample],
+    at: &[RequestSample],
+) -> (f64, f64) {
+    let partial_loss = if partial.is_empty() {
+        0.0
+    } else {
+        search_accuracy_loss(deployment, partial, mask_budget)
+    };
+    let at_loss = if at.is_empty() {
+        0.0
+    } else {
+        search_accuracy_loss(deployment, at, |s| sets_budget(s, SEARCH_IMAX))
+    };
+    (partial_loss, at_loss)
+}
+
+// ---------------------------------------------------------------------
 // Tables 1 & 2: fixed-rate CF workload
 // ---------------------------------------------------------------------
 
 /// Table 1 data: 99.9th-percentile component latency (ms) per technique
 /// per arrival rate.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Table1 {
     /// Request arrival rates (req/s).
     pub rates: Vec<f64>,
@@ -421,39 +467,41 @@ pub fn table1(scale: &ExpScale) -> Table1 {
     Table1 {
         rates: rates.clone(),
         basic: run(Technique::Basic),
-        reissue: run(Technique::Reissue {
-            trigger_percentile: 95.0,
-        }),
-        accuracy_trader: run(Technique::AccuracyTrader {
-            deadline_s: 0.1,
-            imax: None,
-        }),
+        reissue: run(REISSUE),
+        accuracy_trader: run(accuracy_trader(None)),
+    }
+}
+
+/// Print a technique × rate table: `label_width`-wide row labels, cells
+/// at `decimals` places.
+fn print_rate_table(rates: &[f64], rows: &[(&str, &[f64])], label_width: usize, decimals: usize) {
+    print!("{:<label_width$}", "rate (req/s)");
+    for r in rates {
+        print!("{r:>12.0}");
+    }
+    println!();
+    for (name, row) in rows {
+        print!("{name:<label_width$}");
+        for v in *row {
+            print!("{v:>12.decimals$}");
+        }
+        println!();
     }
 }
 
 /// Print Table 1.
 pub fn print_table1(t: &Table1) {
     println!("== Table 1: 99.9th-percentile component latency (ms), CF workload ==");
-    print!("{:<16}", "rate (req/s)");
-    for r in &t.rates {
-        print!("{:>12.0}", r);
-    }
-    println!();
-    for (name, row) in [
-        ("Basic", &t.basic),
-        ("Reissue", &t.reissue),
-        ("AccuracyTrader", &t.accuracy_trader),
-    ] {
-        print!("{:<16}", name);
-        for v in row {
-            print!("{:>12.0}", v);
-        }
-        println!();
-    }
+    let rows = [
+        ("Basic", &t.basic[..]),
+        ("Reissue", &t.reissue[..]),
+        ("AccuracyTrader", &t.accuracy_trader[..]),
+    ];
+    print_rate_table(&t.rates, &rows, 16, 0);
 }
 
 /// Table 2 data: accuracy-loss % per technique per arrival rate.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Table2 {
     /// Request arrival rates (req/s).
     pub rates: Vec<f64>,
@@ -473,30 +521,12 @@ pub fn table2(scale: &ExpScale) -> Table2 {
     let cells: Vec<(f64, f64)> = rates
         .par_iter()
         .map(|&rate| {
-            let partial_sim = run_fixed_rate(
-                rate,
-                scale.table_duration_s,
-                Technique::Partial { deadline_s: 0.1 },
-                &cfg,
-            );
-            let at_sim = run_fixed_rate(
-                rate,
-                scale.table_duration_s,
-                Technique::AccuracyTrader {
-                    deadline_s: 0.1,
-                    imax: None,
-                },
-                &cfg,
-            );
-            let partial_loss = rec_accuracy_loss(&deployment, &partial_sim.samples, |s| {
-                Budget::Mask(s.made_deadline.as_ref().expect("partial mask"))
-            });
-            let at_loss = rec_accuracy_loss(&deployment, &at_sim.samples, |s| Budget::Sets {
-                sets: s.sets_processed.as_ref().expect("AT sets"),
-                sim_total: CostModel::default().n_sets,
-                imax_frac: None,
-            });
-            (partial_loss, at_loss)
+            let partial = run_fixed_rate(rate, scale.table_duration_s, PARTIAL, &cfg);
+            let at = run_fixed_rate(rate, scale.table_duration_s, accuracy_trader(None), &cfg);
+            (
+                rec_accuracy_loss(&deployment, &partial.samples, mask_budget),
+                rec_accuracy_loss(&deployment, &at.samples, |s| sets_budget(s, None)),
+            )
         })
         .collect();
     Table2 {
@@ -509,21 +539,11 @@ pub fn table2(scale: &ExpScale) -> Table2 {
 /// Print Table 2.
 pub fn print_table2(t: &Table2) {
     println!("== Table 2: accuracy losses (%), CF workload ==");
-    print!("{:<18}", "rate (req/s)");
-    for r in &t.rates {
-        print!("{:>12.0}", r);
-    }
-    println!();
-    for (name, row) in [
-        ("Partial exec", &t.partial),
-        ("AccuracyTrader", &t.accuracy_trader),
-    ] {
-        print!("{:<18}", name);
-        for v in row {
-            print!("{:>12.2}", v);
-        }
-        println!();
-    }
+    let rows = [
+        ("Partial exec", &t.partial[..]),
+        ("AccuracyTrader", &t.accuracy_trader[..]),
+    ];
+    print_rate_table(&t.rates, &rows, 18, 2);
 }
 
 // ---------------------------------------------------------------------
@@ -550,29 +570,16 @@ pub fn fig5(scale: &ExpScale) -> Vec<HourSeries> {
     [h_inc, h_steady, h_dec]
         .into_par_iter()
         .map(|hour| {
-            let techniques: Vec<(&'static str, Technique)> = vec![
-                ("Basic", Technique::Basic),
-                (
-                    "Reissue",
-                    Technique::Reissue {
-                        trigger_percentile: 95.0,
-                    },
-                ),
-                (
-                    "AccuracyTrader",
-                    Technique::AccuracyTrader {
-                        deadline_s: 0.1,
-                        imax: Some(imax_40pct(scale)),
-                    },
-                ),
-            ];
             let mut arrivals_per_bucket = Vec::new();
-            let series = techniques
+            let series = search_latency_techniques()
                 .into_iter()
                 .map(|(name, tech)| {
                     let r = run_hour_window(&pattern, hour, scale.fig_window_s, tech, &cfg);
                     if arrivals_per_bucket.is_empty() {
-                        arrivals_per_bucket = bucket_arrivals(&r, scale);
+                        // Per-bucket arrival counts, from the bucketed recorder.
+                        arrivals_per_bucket = (0..r.bucketed.len())
+                            .map(|i| r.bucketed.bucket(i).len())
+                            .collect();
                     }
                     (name, r.bucketed.p999_series_ms())
                 })
@@ -586,16 +593,13 @@ pub fn fig5(scale: &ExpScale) -> Vec<HourSeries> {
         .collect()
 }
 
-/// The paper's search setting: process at most the top 40% of ranked sets.
-fn imax_40pct(_scale: &ExpScale) -> usize {
-    (CostModel::default().n_sets as f64 * 0.4).ceil() as usize
-}
-
-fn bucket_arrivals(r: &SimResult, _scale: &ExpScale) -> Vec<usize> {
-    // Approximate per-bucket arrival counts from the bucketed recorder.
-    (0..r.bucketed.len())
-        .map(|i| r.bucketed.bucket(i).len())
-        .collect()
+/// The three latency-side techniques of Figures 5 and 7.
+fn search_latency_techniques() -> [(&'static str, Technique); 3] {
+    [
+        ("Basic", Technique::Basic),
+        ("Reissue", REISSUE),
+        ("AccuracyTrader", accuracy_trader(SEARCH_IMAX)),
+    ]
 }
 
 /// Print Figure 5 (sampled minutes to keep the table readable).
@@ -646,23 +650,8 @@ pub fn fig6(scale: &ExpScale) -> Vec<Fig6Hour> {
     [h_inc, h_steady, h_dec]
         .iter()
         .map(|&hour| {
-            let partial = run_hour_window(
-                &pattern,
-                hour,
-                scale.fig_window_s,
-                Technique::Partial { deadline_s: 0.1 },
-                &cfg,
-            );
-            let at = run_hour_window(
-                &pattern,
-                hour,
-                scale.fig_window_s,
-                Technique::AccuracyTrader {
-                    deadline_s: 0.1,
-                    imax: Some(imax_40pct(scale)),
-                },
-                &cfg,
-            );
+            let run = |t| run_hour_window(&pattern, hour, scale.fig_window_s, t, &cfg);
+            let (partial, at) = (run(PARTIAL), run(accuracy_trader(SEARCH_IMAX)));
             let bins = (0..n_bins)
                 .into_par_iter()
                 .map(|bin| {
@@ -673,23 +662,7 @@ pub fn fig6(scale: &ExpScale) -> Vec<Fig6Hour> {
                         partial.samples.iter().filter(in_bin).cloned().collect();
                     let a_samples: Vec<RequestSample> =
                         at.samples.iter().filter(in_bin).cloned().collect();
-                    let p_loss = if p_samples.is_empty() {
-                        0.0
-                    } else {
-                        search_accuracy_loss(&deployment, &p_samples, |s| {
-                            Budget::Mask(s.made_deadline.as_ref().expect("mask"))
-                        })
-                    };
-                    let a_loss = if a_samples.is_empty() {
-                        0.0
-                    } else {
-                        search_accuracy_loss(&deployment, &a_samples, |s| Budget::Sets {
-                            sets: s.sets_processed.as_ref().expect("sets"),
-                            sim_total: CostModel::default().n_sets,
-                            imax_frac: Some(0.4),
-                        })
-                    };
-                    (p_loss, a_loss)
+                    search_losses(&deployment, &p_samples, &a_samples)
                 })
                 .collect();
             Fig6Hour { hour, bins }
@@ -710,7 +683,7 @@ pub fn print_fig6(hours: &[Fig6Hour]) {
 }
 
 /// Figure 7 data: hourly arrival rates and hourly p99.9 per technique.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Fig7 {
     /// Mean arrival rate per hour (req/s), hour 1 first.
     pub hourly_rates: Vec<f64>,
@@ -722,23 +695,7 @@ pub struct Fig7 {
 pub fn fig7(scale: &ExpScale) -> Fig7 {
     let pattern = DiurnalPattern::sogou_like(scale.peak_rps);
     let cfg = scale.sim_config(scale.fig_components, false);
-    let techniques: Vec<(&'static str, Technique)> = vec![
-        ("Basic", Technique::Basic),
-        (
-            "Reissue",
-            Technique::Reissue {
-                trigger_percentile: 95.0,
-            },
-        ),
-        (
-            "AccuracyTrader",
-            Technique::AccuracyTrader {
-                deadline_s: 0.1,
-                imax: Some(imax_40pct(scale)),
-            },
-        ),
-    ];
-    let series = techniques
+    let series = search_latency_techniques()
         .into_iter()
         .map(|(name, tech)| {
             let per_hour: Vec<f64> = (1..=24usize)
@@ -781,7 +738,7 @@ pub fn print_fig7(f: &Fig7) {
 }
 
 /// Figure 8 data: hourly accuracy losses, Partial vs. AccuracyTrader.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Fig8 {
     /// Per-hour loss % (hour 1 first): (partial, accuracy_trader).
     pub hours: Vec<(f64, f64)>,
@@ -795,32 +752,9 @@ pub fn fig8(scale: &ExpScale) -> Fig8 {
     let hours: Vec<(f64, f64)> = (1..=24usize)
         .into_par_iter()
         .map(|h| {
-            let partial = run_hour_window(
-                &pattern,
-                h,
-                scale.fig_window_s,
-                Technique::Partial { deadline_s: 0.1 },
-                &cfg,
-            );
-            let at = run_hour_window(
-                &pattern,
-                h,
-                scale.fig_window_s,
-                Technique::AccuracyTrader {
-                    deadline_s: 0.1,
-                    imax: Some(imax_40pct(scale)),
-                },
-                &cfg,
-            );
-            let p_loss = search_accuracy_loss(&deployment, &partial.samples, |s| {
-                Budget::Mask(s.made_deadline.as_ref().expect("mask"))
-            });
-            let a_loss = search_accuracy_loss(&deployment, &at.samples, |s| Budget::Sets {
-                sets: s.sets_processed.as_ref().expect("sets"),
-                sim_total: CostModel::default().n_sets,
-                imax_frac: Some(0.4),
-            });
-            (p_loss, a_loss)
+            let run = |t| run_hour_window(&pattern, h, scale.fig_window_s, t, &cfg);
+            let (partial, at) = (run(PARTIAL), run(accuracy_trader(SEARCH_IMAX)));
+            search_losses(&deployment, &partial.samples, &at.samples)
         })
         .collect();
     Fig8 { hours }
@@ -839,22 +773,25 @@ pub fn print_fig8(f: &Fig8) {
 // §4.3 summary ratios
 // ---------------------------------------------------------------------
 
-/// The paper's headline ratios (§4.3 "Results").
-#[derive(Clone, Debug)]
-pub struct Summary {
-    /// Tail-latency reduction of AT vs. reissue, CF workload (paper:
-    /// 133.38×).
-    pub latency_reduction_cf: f64,
-    /// Tail-latency reduction of AT vs. reissue, search workload (paper:
-    /// 42.72×).
-    pub latency_reduction_search: f64,
-    /// AT accuracy loss, CF (paper: 1.97%).
-    pub at_loss_cf: f64,
-    /// Accuracy-loss reduction of AT vs. partial, CF (paper: 15.12×).
-    pub loss_reduction_cf: f64,
-    /// Accuracy-loss reduction of AT vs. partial, search (paper: 13.85×).
-    pub loss_reduction_search: f64,
+/// One of the paper's headline ratios (§4.3 "Results") next to ours.
+#[derive(Clone, Debug, PartialEq)]
+pub struct SummaryRow {
+    /// Key in `BENCH_paper.json`.
+    pub name: &'static str,
+    /// Row label `print_summary` prints.
+    pub label: &'static str,
+    /// The reproduced value.
+    pub value: f64,
+    /// The value the paper reports.
+    pub paper: f64,
+    /// `"x"` (a ratio) or `"%"`.
+    pub unit: &'static str,
 }
+
+/// The five §4.3 headline numbers: tail-latency reduction of AT vs.
+/// reissue (CF, search), AT's CF accuracy loss, and the accuracy-loss
+/// reduction of AT vs. partial execution (CF, search).
+pub type Summary = [SummaryRow; 5];
 
 /// Compute the summary ratios from already-run experiments.
 pub fn summary(t1: &Table1, t2: &Table2, f7: &Fig7, f8: &Fig8) -> Summary {
@@ -907,13 +844,44 @@ pub fn summary(t1: &Table1, t2: &Table2, f7: &Fig7, f8: &Fig8) -> Summary {
     );
     let loss_reduction_search =
         mean_ratio(f8.hours.iter().map(|h| h.0), f8.hours.iter().map(|h| h.1));
-    Summary {
-        latency_reduction_cf,
-        latency_reduction_search,
-        at_loss_cf,
-        loss_reduction_cf,
-        loss_reduction_search,
-    }
+    let row = |name, label, value, paper, unit| SummaryRow {
+        name,
+        label,
+        value,
+        paper,
+        unit,
+    };
+    [
+        row(
+            "latency_reduction_cf",
+            "AT vs reissue tail-latency reduction, CF:",
+            latency_reduction_cf,
+            133.38,
+            "x",
+        ),
+        row(
+            "latency_reduction_search",
+            "AT vs reissue tail-latency reduction, search:",
+            latency_reduction_search,
+            42.72,
+            "x",
+        ),
+        row("at_loss_cf", "AT accuracy loss, CF:", at_loss_cf, 1.97, "%"),
+        row(
+            "loss_reduction_cf",
+            "AT vs partial accuracy-loss reduction, CF:",
+            loss_reduction_cf,
+            15.12,
+            "x",
+        ),
+        row(
+            "loss_reduction_search",
+            "AT vs partial accuracy-loss reduction, search:",
+            loss_reduction_search,
+            13.85,
+            "x",
+        ),
+    ]
 }
 
 fn mean_ratio(num: impl Iterator<Item = f64>, den: impl Iterator<Item = f64>) -> f64 {
@@ -927,24 +895,10 @@ fn mean_ratio(num: impl Iterator<Item = f64>, den: impl Iterator<Item = f64>) ->
 /// Print the summary.
 pub fn print_summary(s: &Summary) {
     println!("== §4.3 summary (paper values in parentheses) ==");
-    println!(
-        "AT vs reissue tail-latency reduction, CF:     {:8.2}x  (133.38x)",
-        s.latency_reduction_cf
-    );
-    println!(
-        "AT vs reissue tail-latency reduction, search: {:8.2}x  (42.72x)",
-        s.latency_reduction_search
-    );
-    println!(
-        "AT accuracy loss, CF:                         {:8.2}%  (1.97%)",
-        s.at_loss_cf
-    );
-    println!(
-        "AT vs partial accuracy-loss reduction, CF:    {:8.2}x  (15.12x)",
-        s.loss_reduction_cf
-    );
-    println!(
-        "AT vs partial accuracy-loss reduction, search:{:8.2}x  (13.85x)",
-        s.loss_reduction_search
-    );
+    for r in s {
+        println!(
+            "{:<46}{:8.2}{}  ({}{})",
+            r.label, r.value, r.unit, r.paper, r.unit
+        );
+    }
 }

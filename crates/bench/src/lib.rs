@@ -1,7 +1,7 @@
 //! # at-bench
 //!
-//! The benchmark harness of the AccuracyTrader reproduction: builds the
-//! two service deployments, couples the `at-sim` latency simulator with
+//! The paper-reproduction harness of AccuracyTrader: builds the two
+//! service deployments, couples the `at-sim` latency simulator with
 //! real-service accuracy replay, and regenerates **every table and figure**
 //! of the paper's evaluation (§4).
 //!
@@ -10,10 +10,16 @@
 //!   top-10-overlap accuracy numbers by running the real services.
 //! * [`experiments`] — one driver per table/figure (Table 1, Table 2,
 //!   Figures 3–8, the §4.2 creation overheads, and the §4.3 summary).
+//! * [`artifact`] — the command line and provenance stamp the committed
+//!   `BENCH_*.json` files share.
 //!
-//! Entry points: `cargo run -p at-bench --bin repro --release -- all` or
-//! the criterion benches (`cargo bench -p at-bench`).
+//! Entry points: `cargo run -p at-bench --bin repro --release -- all`
+//! (`--out BENCH_paper.json` commits the tables) and `--bin sweep` for the
+//! two serving sweeps the frozen `benchmark/` does not run
+//! (`BENCH_overload.json`, `BENCH_shard.json`). Every other serving
+//! measurement is `bash benchmark/run.sh`.
 
+pub mod artifact;
 pub mod deployments;
 pub mod experiments;
 pub mod replay;
@@ -23,15 +29,3 @@ pub use deployments::{
 };
 pub use experiments::ExpScale;
 pub use replay::{rec_accuracy_loss, rec_rmse, search_accuracy_loss, search_overlap, Budget};
-
-/// Nearest-rank p99 of a latency sample, in milliseconds — the one
-/// definition shared by every bench binary. Sorts in place; `0.0` for an
-/// empty sample.
-pub fn p99_latency_ms(latencies: &mut [std::time::Duration]) -> f64 {
-    if latencies.is_empty() {
-        return 0.0;
-    }
-    latencies.sort_unstable();
-    let idx = ((latencies.len() as f64 * 0.99).ceil() as usize).clamp(1, latencies.len()) - 1;
-    latencies[idx].as_secs_f64() * 1e3
-}

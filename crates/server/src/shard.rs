@@ -45,7 +45,8 @@
 //!   its duplicates — on zipf-skewed traffic this cuts the *unique*
 //!   requests per micro-batch by ~the worker count, which is where the
 //!   multi-worker throughput win actually comes from (validated by
-//!   `at-sim`'s shard model and the `shardpath` bench).
+//!   `at-sim`'s shard model and `at-bench`'s `sweep shard` →
+//!   `BENCH_shard.json`).
 //! * [`RoutingStrategy::LeastLoaded`]: place on the shallowest live
 //!   queue. Best for uniform traffic with no duplicate structure.
 //! * [`RoutingStrategy::RoundRobin`]: strict rotation; the baseline.

@@ -17,13 +17,11 @@ use std::time::{Duration, Instant};
 
 use at_bench::artifact::{self, Cli};
 use at_bench::deployments::build_recommender;
-use at_core::{ExecutionPolicy, FanOutService, RouteKey};
+use at_core::{ExecutionPolicy, FanOutService};
 use at_recommender::{ActiveUser, CfService};
 use at_server::{
-    LadderConfig, LadderController, NoControl, RoutingStrategy, Server, ServerConfig, ShardConfig,
-    ShardedServer,
+    LadderConfig, LadderController, NoControl, Server, ServerConfig, ShardConfig, ShardedServer,
 };
-use at_sim::{pick_strategy, simulate_shards, ShardSimConfig, ShardStrategy};
 use at_workloads::{arrival_delays, poisson_arrivals, DiurnalPattern, Zipf};
 use rand::{rngs::SmallRng, SeedableRng};
 
@@ -245,7 +243,7 @@ fn run_level(
 }
 
 // ---------------------------------------------------------------------
-// shard: workers {1, 2, 4, 8} × {hash affinity, least loaded}
+// shard: workers {1, 2, 4, 8} × work stealing {on, off}
 // ---------------------------------------------------------------------
 
 /// Dispatcher micro-batch cap. Large batches are what make collapse
@@ -259,123 +257,86 @@ const IN_FLIGHT: usize = 4096;
 /// dominates fixed per-request overhead (enqueue + ticket fulfilment).
 const SETS: usize = 5;
 
-/// Replays the mix under `Budgeted{sets: 5}` through a *replicated*
-/// `ShardedServer`, sweeping worker count × routing strategy. The
+/// Replays the mix under `Budgeted{sets: 5}` through a hash-affinity
+/// `ShardedServer`, sweeping worker count × work stealing on/off. The
 /// submitter keeps a fixed sliding window of in-flight tickets, so every
 /// configuration sees the same offered load; latency is
 /// `ServiceResponse::elapsed` from the enqueue instant.
 ///
-/// What hash-affinity routing buys beyond the box's cores is **collapse
+/// What hash affinity buys beyond the box's cores is **collapse
 /// locality**: it partitions the key space, so each worker's micro-batches
 /// draw from `K / W` keys and hold fewer *unique* requests, and the
 /// duplicate collapse in `serve_batch_at` runs each pass once per unique.
-/// Least-loaded routing interleaves the stream instead, so duplicates
-/// split across queues and it gains only what extra cores give. The
-/// effect is honest only when a unique serve costs what production
-/// fan-outs cost, hence the full-size deployment.
-///
-/// Each entry also carries the analytic prediction from
-/// `at_sim::simulate_shards` (per-unique cost calibrated from the measured
-/// single-worker run): `speedup_vs_1w` is measured, `model_speedup`
-/// predicted. The model counts unique work only — it has no term for the
-/// fixed cost of each extra worker, so it over-predicts once workers
-/// outnumber `cores`.
+/// On a zipf mix that leaves hot and cold workers; stealing lets an idle
+/// worker drain half of a hot sibling's queue, and `stolen_share` says how
+/// much of the stream moved. The effect is honest only when a unique serve
+/// costs what production fan-outs cost, hence the full-size deployment.
+/// One worker has no sibling to steal from, so the baseline runs with
+/// stealing off.
 fn shard(service: &Service, mix: &[ActiveUser], json: &mut String) {
     let policy = ExecutionPolicy::budgeted(SETS);
-    let keys: Vec<u64> = mix.iter().map(|r| r.route_key()).collect();
     for req in mix.iter().take(64) {
         std::hint::black_box(service.serve(req, &policy)); // warm pools
     }
 
-    // Baseline for both the measured speedups and the model calibration:
-    // one worker, hash routing (routing is a no-op at W = 1).
-    let w1 = run_sharded(service, mix, &policy, 1, RoutingStrategy::HashAffinity);
-
-    // Calibrate the model's per-unique cost from the measured one-worker
-    // run: its makespan is the wall time, its unique count comes from
-    // replaying the key stream through the same batcher. Only the cost
-    // *ratios* matter for predicted speedups.
-    let one_worker = ShardSimConfig {
-        workers: 1,
-        cores: 1,
-        max_batch: MAX_BATCH,
-        ..ShardSimConfig::default()
-    };
-    let base = simulate_shards(&keys, ShardStrategy::HashAffinity, &one_worker);
-    let wall_per_unique =
-        (mix.len() as f64 / w1.0) / (base.mean_uniques_per_batch * base.batches as f64).max(1.0);
-    let sim_cfg = |workers: usize| ShardSimConfig {
-        workers,
-        pass_s: wall_per_unique * 0.1,
-        per_unique_s: wall_per_unique,
-        per_request_s: wall_per_unique * 0.01,
-        work_stealing: true,
-        ..one_worker
-    };
-    let model_base = simulate_shards(&keys, ShardStrategy::HashAffinity, &sim_cfg(1));
-    let model_pick = pick_strategy(&keys, &sim_cfg(4));
-
+    let w1 = run_sharded(service, mix, &policy, 1, false);
     let mut rows = Vec::new();
-    let mut push_row = |workers: usize, strategy: &str, (thr, p99_ms): (f64, f64), model: f64| {
-        let speedup = thr / w1.0;
+    let mut push_row = |workers: usize, stealing: bool, run: ShardRun| {
+        let speedup = run.throughput_rps / w1.throughput_rps;
+        let name = format!("w{workers}_steal_{}", if stealing { "on" } else { "off" });
         eprintln!(
-            "w{workers}_{strategy:<14} {thr:>10.0} req/s  p99 {p99_ms:>9.3} ms  \
-             speedup {speedup:>6.2}x  (model {model:>5.2}x)"
+            "{name:<14} {:>10.0} req/s  p99 {:>9.3} ms  speedup {speedup:>6.2}x  \
+             stolen {:>5.3}",
+            run.throughput_rps, run.p99_ms, run.stolen_share
         );
         rows.push(format!(
-            "{{\"name\": \"w{workers}_{strategy}\", \"workers\": {workers}, \
-             \"strategy\": \"{strategy}\", \"throughput_rps\": {thr:.1}, \
-             \"p99_ms\": {p99_ms:.3}, \"speedup_vs_1w\": {speedup:.3}, \
-             \"model_speedup\": {model:.3}}}"
+            "{{\"name\": \"{name}\", \"workers\": {workers}, \
+             \"work_stealing\": {stealing}, \"throughput_rps\": {:.1}, \
+             \"p99_ms\": {:.3}, \"speedup_vs_1w\": {speedup:.3}, \
+             \"stolen_share\": {:.4}}}",
+            run.throughput_rps, run.p99_ms, run.stolen_share
         ));
     };
-    push_row(1, "hash_affinity", w1, 1.0);
+    push_row(1, false, w1);
     for workers in [2usize, 4, 8] {
-        for (strategy, sim_strategy, name) in [
-            (
-                RoutingStrategy::HashAffinity,
-                ShardStrategy::HashAffinity,
-                "hash_affinity",
-            ),
-            (
-                RoutingStrategy::LeastLoaded,
-                ShardStrategy::LeastLoaded,
-                "least_loaded",
-            ),
-        ] {
-            let run = run_sharded(service, mix, &policy, workers, strategy);
-            let model = simulate_shards(&keys, sim_strategy, &sim_cfg(workers));
-            let model_speedup = model_base.makespan_s / model.makespan_s.max(f64::MIN_POSITIVE);
-            push_row(workers, name, run, model_speedup);
+        for stealing in [true, false] {
+            push_row(
+                workers,
+                stealing,
+                run_sharded(service, mix, &policy, workers, stealing),
+            );
         }
     }
 
     let _ = writeln!(json, "  \"requests\": {},", mix.len());
     let _ = writeln!(json, "  \"max_batch\": {MAX_BATCH},");
     let _ = writeln!(json, "  \"in_flight\": {IN_FLIGHT},");
-    let _ = writeln!(
-        json,
-        "  \"model_pick_4w\": \"{}\",",
-        model_pick.strategy.name()
-    );
     let _ = writeln!(json, "  \"policy\": \"budgeted_{SETS}\",");
     push_entries(json, &rows);
     json.push_str("\n}\n");
 }
 
+/// What one `run_sharded` replay measured.
+#[derive(Clone, Copy)]
+struct ShardRun {
+    throughput_rps: f64,
+    p99_ms: f64,
+    /// Share of the mix served by a worker other than its hash home.
+    stolen_share: f64,
+}
+
 /// Replay `mix` through a fresh sharded server, keeping a sliding window
-/// of in-flight tickets, returning (throughput, p99 ms).
+/// of in-flight tickets.
 fn run_sharded(
     service: &Service,
     mix: &[ActiveUser],
     policy: &ExecutionPolicy,
     workers: usize,
-    strategy: RoutingStrategy,
-) -> (f64, f64) {
+    work_stealing: bool,
+) -> ShardRun {
     let config = ShardConfig::default()
         .with_workers(workers)
-        .with_routing(strategy)
-        .with_work_stealing(true)
+        .with_work_stealing(work_stealing)
         .with_worker(
             ServerConfig::default()
                 .with_queue_capacity(IN_FLIGHT * 2)
@@ -397,6 +358,10 @@ fn run_sharded(
         latencies.push(ticket.wait().expect("fulfilled").elapsed);
     }
     let wall = start.elapsed().as_secs_f64();
-    server.shutdown();
-    (mix.len() as f64 / wall, p99_ms(&mut latencies))
+    let stats = server.shutdown();
+    ShardRun {
+        throughput_rps: mix.len() as f64 / wall,
+        p99_ms: p99_ms(&mut latencies),
+        stolen_share: stats.requests_stolen() as f64 / mix.len() as f64,
+    }
 }

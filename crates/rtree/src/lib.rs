@@ -31,7 +31,6 @@
 pub mod bulk;
 pub mod depth;
 pub mod node;
-pub mod query;
 pub mod rect;
 pub mod tree;
 pub mod validate;

@@ -150,53 +150,6 @@ impl Rect {
             && self.min.iter().zip(&other.min).all(|(a, b)| a <= b)
             && self.max.iter().zip(&other.max).all(|(a, b)| a >= b)
     }
-
-    /// Whether point `p` lies inside (inclusive).
-    pub fn contains_point(&self, p: &[f64]) -> bool {
-        assert_eq!(self.dims(), p.len(), "contains_point: dims mismatch");
-        self.min.iter().zip(p).all(|(lo, x)| lo <= x)
-            && self.max.iter().zip(p).all(|(hi, x)| x <= hi)
-    }
-
-    /// Whether the rectangles overlap (inclusive boundaries).
-    pub fn intersects(&self, other: &Rect) -> bool {
-        assert_eq!(self.dims(), other.dims(), "intersects: dims mismatch");
-        if self.is_empty() || other.is_empty() {
-            return false;
-        }
-        self.min.iter().zip(&other.max).all(|(lo, hi)| lo <= hi)
-            && other.min.iter().zip(&self.max).all(|(lo, hi)| lo <= hi)
-    }
-
-    /// Geometric centre.
-    pub fn center(&self) -> Vec<f64> {
-        self.min
-            .iter()
-            .zip(&self.max)
-            .map(|(lo, hi)| 0.5 * (lo + hi))
-            .collect()
-    }
-
-    /// Squared minimum distance from point `p` to this rectangle (0 inside).
-    /// Used by nearest-neighbour search.
-    pub fn min_dist2(&self, p: &[f64]) -> f64 {
-        assert_eq!(self.dims(), p.len(), "min_dist2: dims mismatch");
-        self.min
-            .iter()
-            .zip(&self.max)
-            .zip(p)
-            .map(|((lo, hi), x)| {
-                let d = if x < lo {
-                    lo - x
-                } else if x > hi {
-                    x - hi
-                } else {
-                    0.0
-                };
-                d * d
-            })
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -208,7 +161,7 @@ mod tests {
         let r = Rect::point(&[1.0, 2.0, 3.0]);
         assert_eq!(r.area(), 0.0);
         assert_eq!(r.dims(), 3);
-        assert!(r.contains_point(&[1.0, 2.0, 3.0]));
+        assert!(r.contains(&Rect::point(&[1.0, 2.0, 3.0])));
     }
 
     #[test]
@@ -226,7 +179,7 @@ mod tests {
         let r = Rect::new(vec![0.0, 0.0], vec![1.0, 1.0]);
         // union with empty is identity
         assert_eq!(e.union(&r), r);
-        assert!(!e.intersects(&r));
+        assert!(!r.contains(&e));
     }
 
     #[test]
@@ -268,35 +221,10 @@ mod tests {
     #[test]
     fn contains_is_inclusive() {
         let r = Rect::new(vec![0.0], vec![1.0]);
-        assert!(r.contains_point(&[0.0]));
-        assert!(r.contains_point(&[1.0]));
-        assert!(!r.contains_point(&[1.000001]));
+        assert!(r.contains(&Rect::point(&[0.0])));
+        assert!(r.contains(&Rect::point(&[1.0])));
+        assert!(!r.contains(&Rect::point(&[1.000001])));
         assert!(r.contains(&r));
-    }
-
-    #[test]
-    fn intersects_edge_touching() {
-        let a = Rect::new(vec![0.0], vec![1.0]);
-        let b = Rect::new(vec![1.0], vec![2.0]);
-        let c = Rect::new(vec![1.1], vec![2.0]);
-        assert!(a.intersects(&b));
-        assert!(!a.intersects(&c));
-        assert!(b.intersects(&a));
-    }
-
-    #[test]
-    fn center_midpoint() {
-        let r = Rect::new(vec![0.0, 2.0], vec![4.0, 4.0]);
-        assert_eq!(r.center(), vec![2.0, 3.0]);
-    }
-
-    #[test]
-    fn min_dist2_inside_is_zero() {
-        let r = Rect::new(vec![0.0, 0.0], vec![2.0, 2.0]);
-        assert_eq!(r.min_dist2(&[1.0, 1.0]), 0.0);
-        assert_eq!(r.min_dist2(&[3.0, 1.0]), 1.0);
-        assert_eq!(r.min_dist2(&[3.0, 3.0]), 2.0);
-        assert_eq!(r.min_dist2(&[-1.0, -1.0]), 2.0);
     }
 
     #[test]

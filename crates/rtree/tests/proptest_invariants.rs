@@ -1,8 +1,8 @@
 //! Property-based tests: the R-tree's structural invariants must survive
 //! arbitrary interleavings of inserts, removals, and re-positions, and its
-//! queries must agree with brute-force oracles.
+//! per-depth grouping must partition the items.
 
-use at_rtree::{RTree, RTreeConfig, Rect};
+use at_rtree::{RTree, RTreeConfig};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -49,12 +49,17 @@ proptest! {
             tree.validate().map_err(TestCaseError::fail)?;
             prop_assert_eq!(tree.len(), model.len());
         }
-        // Every modelled item is findable.
+        // Every modelled item is findable and still sits at its own point.
         for (&id, p) in &model {
             prop_assert!(tree.contains_item(id));
-            let nn = tree.nearest(p, 1);
-            prop_assert!(!nn.is_empty());
-            prop_assert!(nn[0].1 <= 1e-9, "own point must be its own nearest neighbour");
+            let leaf = tree.leaf_of(id).expect("a live item has a leaf");
+            let stored = tree
+                .node(leaf)
+                .entries()
+                .iter()
+                .find(|e| e.item == id)
+                .map(|e| e.point.as_slice());
+            prop_assert_eq!(stored, Some(&p[..]), "own point must be stored in its leaf");
         }
     }
 
@@ -77,57 +82,6 @@ proptest! {
         a.sort_unstable();
         b.sort_unstable();
         prop_assert_eq!(a, b);
-    }
-
-    #[test]
-    fn range_query_matches_oracle(points in prop::collection::vec((0u64..1000, prop::array::uniform2(-10.0f64..10.0)), 1..150),
-                                  lo in prop::array::uniform2(-12.0f64..12.0),
-                                  span in prop::array::uniform2(0.0f64..10.0)) {
-        let mut dedup: HashMap<u64, [f64; 2]> = HashMap::new();
-        for (id, p) in points {
-            dedup.insert(id, p);
-        }
-        let mut tree = RTree::new(2, RTreeConfig::default());
-        for (&id, p) in &dedup {
-            tree.insert(id, p);
-        }
-        let query = Rect::new(lo.to_vec(), vec![lo[0] + span[0], lo[1] + span[1]]);
-        let mut got = tree.range_query(&query);
-        got.sort_unstable();
-        let mut want: Vec<u64> = dedup
-            .iter()
-            .filter(|(_, p)| query.contains_point(&p[..]))
-            .map(|(&id, _)| id)
-            .collect();
-        want.sort_unstable();
-        prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn nearest_matches_oracle(points in prop::collection::vec((0u64..1000, prop::array::uniform2(-10.0f64..10.0)), 1..100),
-                              q in prop::array::uniform2(-10.0f64..10.0),
-                              k in 1usize..12) {
-        let mut dedup: HashMap<u64, [f64; 2]> = HashMap::new();
-        for (id, p) in points {
-            dedup.insert(id, p);
-        }
-        let mut tree = RTree::new(2, RTreeConfig::default());
-        for (&id, p) in &dedup {
-            tree.insert(id, p);
-        }
-        let got = tree.nearest(&q, k);
-        let mut brute: Vec<(u64, f64)> = dedup
-            .iter()
-            .map(|(&id, p)| {
-                let d = ((p[0] - q[0]).powi(2) + (p[1] - q[1]).powi(2)).sqrt();
-                (id, d)
-            })
-            .collect();
-        brute.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
-        brute.truncate(k);
-        let got_ids: Vec<u64> = got.iter().map(|x| x.0).collect();
-        let want_ids: Vec<u64> = brute.iter().map(|x| x.0).collect();
-        prop_assert_eq!(got_ids, want_ids);
     }
 
     #[test]

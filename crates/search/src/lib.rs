@@ -14,7 +14,6 @@
 
 pub mod accuracy;
 pub mod adapter;
-pub mod cache;
 pub mod engine;
 pub mod index;
 pub mod score;
@@ -23,7 +22,6 @@ pub mod topk;
 
 pub use accuracy::{accuracy_loss_pct, topk_overlap};
 pub use adapter::{section_top_k_coverage, SearchRequest, SearchService, COMPONENT_STRIDE};
-pub use cache::QueryCache;
 pub use engine::search_exact;
 pub use index::InvertedIndex;
 pub use score::{Bm25, Bm25Params};

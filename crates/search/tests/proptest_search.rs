@@ -1,8 +1,8 @@
 //! Property-based tests for the search substrate: top-k vs. a sort oracle,
-//! exact search vs. brute-force scoring, and cache/LRU behaviour.
+//! exact search vs. brute-force scoring, and route-key laws.
 
 use at_core::RouteKey;
-use at_search::{search_exact, InvertedIndex, QueryCache, SearchRequest, TopK};
+use at_search::{search_exact, InvertedIndex, SearchRequest, TopK};
 use at_synopsis::{RowStore, SparseRow};
 use proptest::prelude::*;
 
@@ -111,29 +111,5 @@ proptest! {
         a.sort_unstable();
         b.sort_unstable();
         prop_assert_eq!(a, b);
-    }
-
-    #[test]
-    fn cache_never_changes_results(queries in prop::collection::vec(prop::collection::vec(0u8..24, 1..4), 1..30),
-                                   docs in docs_strategy()) {
-        let store = build_store(&docs);
-        let index = InvertedIndex::build(&store);
-        let mut cache = QueryCache::new(8);
-        for terms in &queries {
-            let mut q: Vec<u32> = terms.iter().map(|&t| t as u32).collect();
-            q.sort_unstable();
-            q.dedup();
-            let fresh = search_exact(&index, &q, 10);
-            let cached = match cache.get(&q) {
-                Some(hit) => hit,
-                None => {
-                    cache.put(q.clone(), fresh.clone());
-                    fresh.clone()
-                }
-            };
-            prop_assert_eq!(cached.doc_ids(), fresh.doc_ids());
-        }
-        let (hits, misses) = cache.stats();
-        prop_assert_eq!(hits + misses, queries.len() as u64);
     }
 }

@@ -127,7 +127,7 @@ mod stats;
 mod ticket;
 
 pub use control::{AdmissionController, Decision, LadderConfig, LadderController, NoControl};
-pub use shard::{ClusterStats, RoutingStrategy, ShardConfig, ShardedServer};
+pub use shard::{ClusterStats, ShardConfig, ShardedServer};
 pub use stats::{LoadSnapshot, ServerStats};
 pub use ticket::{Canceled, Ticket};
 
@@ -538,8 +538,8 @@ where
     }
 
     /// Queue depth if the worker is still serving, `None` once terminally
-    /// stopped — both read under one lock, for the router's least-loaded
-    /// and failover placement.
+    /// stopped — both read under one lock, for the router's failover
+    /// placement.
     pub(crate) fn live_depth(&self) -> Option<usize> {
         let state = self.shared.state();
         if state.stopped {

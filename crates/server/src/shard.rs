@@ -19,44 +19,30 @@
 //!   queue+dispatch    queue+dispatch   queue+dispatch
 //!   stats+controller  stats+controller stats+controller
 //!   supervisor        supervisor       supervisor
-//!        └──────── work stealing (replicated only) ────────┘
+//!        └────────────── work stealing ─────────────┘
 //! ```
 //!
-//! ## Topologies
+//! ## Topology and placement
 //!
-//! * **Replicated** ([`ShardedServer::replicated`]): every worker serves
-//!   a [`FanOutService::replica`] — same read-only subsets and synopses
-//!   (`Arc`-shared, no copy), fresh breakers and output pool per worker.
-//!   Any worker can serve any request, so the router may fail over away
-//!   from a terminally stopped worker and idle dispatchers may steal
-//!   from hot siblings.
-//! * **Sharded** ([`ShardedServer::from_shards`]): each worker owns a
-//!   *different* component shard (the big-synopsis case where the data
-//!   cannot be replicated). A request's answer now depends on which
-//!   worker serves it, so work stealing is structurally disabled and a
-//!   stopped shard's requests report [`SubmitError::Stopped`] rather
-//!   than silently answering from the wrong shard.
-//!
-//! ## Placement strategies
-//!
-//! * [`RoutingStrategy::HashAffinity`] (default): place by
-//!   [`RouteKey::route_key`]. Equal requests land on the same worker, so
-//!   the duplicate collapse inside the batched serving path keeps seeing
-//!   its duplicates — on zipf-skewed traffic this cuts the *unique*
-//!   requests per micro-batch by ~the worker count, which is where the
-//!   multi-worker throughput win actually comes from (validated by
-//!   `at-sim`'s shard model and `at-bench`'s `sweep shard` →
-//!   `BENCH_shard.json`).
-//! * [`RoutingStrategy::LeastLoaded`]: place on the shallowest live
-//!   queue. Best for uniform traffic with no duplicate structure.
-//! * [`RoutingStrategy::RoundRobin`]: strict rotation; the baseline.
+//! Every worker serves a [`FanOutService::replica`] of one service
+//! ([`ShardedServer::replicated`]) — same read-only subsets and synopses
+//! (`Arc`-shared, no copy), fresh breakers and output pool per worker.
+//! Any worker can serve any request, so placement is free to follow
+//! locality: the front end places by [`RouteKey::route_key`] (hash
+//! affinity). Equal requests land on the same worker, so the duplicate
+//! collapse inside the batched serving path keeps seeing its duplicates
+//! — on zipf-skewed traffic this cuts the *unique* requests per
+//! micro-batch by ~the worker count, which is where the multi-worker
+//! throughput win comes from (measured by `at-bench`'s `sweep shard` →
+//! `BENCH_shard.json`). A terminally stopped home worker fails over to
+//! the shallowest live sibling.
 //!
 //! Hash affinity on a skewed mix leaves hot and cold workers; **work
-//! stealing** (replicated topology, on by default) rebalances without
-//! giving up collapse locality: an idle dispatcher steals the oldest
-//! half of the deepest sibling queue, and since a stolen batch drains
-//! from *one* home queue it still holds that home's (few) hot keys.
-//! Stolen requests complete against the home worker's telemetry.
+//! stealing** (on by default) rebalances without giving up collapse
+//! locality: an idle dispatcher steals the oldest half of the deepest
+//! sibling queue, and since a stolen batch drains from *one* home queue
+//! it still holds that home's (few) hot keys. Stolen requests complete
+//! against the home worker's telemetry.
 //!
 //! ## Hot-shard isolation
 //!
@@ -70,7 +56,6 @@
 //! which is the isolation-versus-utilization trade
 //! [`ShardConfig::with_work_stealing`] exists to make.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -80,31 +65,12 @@ use crate::control::{AdmissionController, NoControl};
 use crate::stats::{LoadSnapshot, ServerStats};
 use crate::{Response, Server, ServerConfig, StealPlan, StealRing, SubmitError, Ticket};
 
-/// How the front end places each submission on a worker.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RoutingStrategy {
-    /// Place by the request's stable [`RouteKey`] hash: equal requests
-    /// share a worker, preserving duplicate-collapse locality (the
-    /// default, and the measured winner on zipf-skewed mixes).
-    HashAffinity,
-    /// Place on the live worker with the shallowest queue.
-    LeastLoaded,
-    /// Strict rotation across workers.
-    RoundRobin,
-}
-
 /// Sizing and placement of a [`ShardedServer`].
 #[derive(Clone, Copy, Debug)]
 pub struct ShardConfig {
-    /// Worker count for the replicated topology ([`from_shards`]
-    /// (ShardedServer::from_shards) takes its count from the shard list
-    /// instead).
+    /// Worker count.
     pub workers: usize,
-    /// Placement strategy (default [`RoutingStrategy::HashAffinity`]).
-    pub routing: RoutingStrategy,
-    /// Let idle dispatchers steal from hot sibling queues (replicated
-    /// topology only; forced off for sharded components, where a stolen
-    /// request would be served against the wrong shard's data).
+    /// Let idle dispatchers steal from hot sibling queues.
     pub work_stealing: bool,
     /// Per-worker queue/batch/window/supervision sizing.
     pub worker: ServerConfig,
@@ -114,7 +80,6 @@ impl Default for ShardConfig {
     fn default() -> Self {
         ShardConfig {
             workers: 2,
-            routing: RoutingStrategy::HashAffinity,
             work_stealing: true,
             worker: ServerConfig::default(),
         }
@@ -125,12 +90,6 @@ impl ShardConfig {
     /// Override the worker count.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Override the placement strategy.
-    pub fn with_routing(mut self, routing: RoutingStrategy) -> Self {
-        self.routing = routing;
         self
     }
 
@@ -149,7 +108,7 @@ impl ShardConfig {
 }
 
 /// N independent serving workers behind a placement front end — see the
-/// [module docs](self) for topologies, strategies, and stealing.
+/// [module docs](self) for placement and stealing.
 ///
 /// Submission takes `&self` (any thread); [`shutdown`](Self::shutdown)
 /// or `Drop` drains every worker.
@@ -158,11 +117,6 @@ where
     S: ComposableService,
 {
     workers: Vec<Server<S>>,
-    routing: RoutingStrategy,
-    /// Replicated topology: any worker can serve any request, so the
-    /// router may fail over from a stopped worker.
-    replicated: bool,
-    rr: AtomicUsize,
 }
 
 impl<S> ShardedServer<S>
@@ -231,58 +185,7 @@ where
             // full queue list is in place.
             ring.install(workers.iter().map(Server::shared_handle).collect());
         }
-        ShardedServer {
-            workers,
-            routing: config.routing,
-            replicated: true,
-            rr: AtomicUsize::new(0),
-        }
-    }
-
-    /// Start one worker per pre-built component shard: worker `i` serves
-    /// `shards[i]`, which holds a *different* slice of the data (the
-    /// big-synopsis case). `config.workers` is ignored — the shard list
-    /// is the worker count. Work stealing and stopped-worker failover
-    /// are structurally disabled: a request served by the wrong worker
-    /// would be answered from the wrong shard's data.
-    ///
-    /// The caller's partitioning must agree with the routing strategy —
-    /// under [`RoutingStrategy::HashAffinity`], shard `i` should hold
-    /// the data for keys with `route_key() % shards.len() == i`.
-    ///
-    /// # Panics
-    /// Panics on an empty shard list, or on a zero queue capacity /
-    /// batch cap (see [`Server::new`]).
-    pub fn from_shards(shards: Vec<FanOutService<S>>, config: ShardConfig) -> Self {
-        Self::from_shards_with(shards, config, |_| Box::new(NoControl))
-    }
-
-    /// [`from_shards`](Self::from_shards) with a per-worker admission
-    /// controller factory (see
-    /// [`replicated_with`](Self::replicated_with)).
-    ///
-    /// # Panics
-    /// Panics on an empty shard list, or on a zero queue capacity /
-    /// batch cap (see [`Server::new`]).
-    pub fn from_shards_with(
-        shards: Vec<FanOutService<S>>,
-        config: ShardConfig,
-        mut controller_for: impl FnMut(usize) -> Box<dyn AdmissionController>,
-    ) -> Self {
-        assert!(!shards.is_empty(), "cluster needs >= 1 shard");
-        let workers: Vec<Server<S>> = shards
-            .into_iter()
-            .enumerate()
-            .map(|(i, shard)| {
-                Server::spawn(Arc::new(shard), config.worker, controller_for(i), None)
-            })
-            .collect();
-        ShardedServer {
-            workers,
-            routing: config.routing,
-            replicated: false,
-            rr: AtomicUsize::new(0),
-        }
+        ShardedServer { workers }
     }
 
     /// The workers, in placement order (worker `i` is hash home for keys
@@ -307,46 +210,21 @@ where
     }
 
     /// The hash-affinity home worker index for `req` — which worker
-    /// [`RoutingStrategy::HashAffinity`] places it on. Exposed so tests
+    /// the front end places it on while that worker lives. Exposed so tests
     /// and benches can attribute per-worker telemetry to request keys.
     pub fn home_index(&self, req: &S::Request) -> usize {
         (req.route_key() % self.workers.len() as u64) as usize
     }
 
-    /// Pick the placement for one submission under the configured
-    /// strategy, failing over from a terminally stopped home worker to
-    /// the shallowest live sibling (replicated topology only; sharded
-    /// components report [`SubmitError::Stopped`] instead, because no
-    /// other worker holds the right data). Best-effort: a worker that
-    /// stops *between* placement and enqueue still bounces the caller
-    /// with `Stopped`.
+    /// Place one submission on its hash-affinity home, failing over from
+    /// a terminally stopped home worker to the shallowest live sibling.
+    /// Best-effort: a worker that stops *between* placement and enqueue
+    /// still bounces the caller with `Stopped`.
     fn place(&self, req: &S::Request) -> Result<&Server<S>, SubmitError> {
-        let home = match self.routing {
-            RoutingStrategy::HashAffinity => self.home_index(req),
-            RoutingStrategy::RoundRobin => {
-                // lint: allow(atomic-discipline) reason=placement cursor; any total RMW order round-robins correctly, no other state is published through it
-                self.rr.fetch_add(1, Ordering::Relaxed) % self.workers.len()
-            }
-            RoutingStrategy::LeastLoaded => {
-                let mut best = 0usize;
-                let mut best_depth = usize::MAX;
-                for (i, worker) in self.workers.iter().enumerate() {
-                    if let Some(depth) = worker.live_depth() {
-                        if depth < best_depth {
-                            best = i;
-                            best_depth = depth;
-                        }
-                    }
-                }
-                best
-            }
-        };
+        let home = self.home_index(req);
         let worker = self.workers.get(home).ok_or(SubmitError::Stopped)?;
         if !worker.is_stopped() {
             return Ok(worker);
-        }
-        if !self.replicated {
-            return Err(SubmitError::Stopped);
         }
         let mut spill: Option<(&Server<S>, usize)> = None;
         for worker in &self.workers {
@@ -361,8 +239,8 @@ where
 
     /// Submit without blocking: place, stamp submitted *now*, enqueue on
     /// the placed worker. [`SubmitError::Busy`] reports that worker's
-    /// queue full (other workers may have room — that is the placement
-    /// strategy's call, not the caller's).
+    /// queue full (other workers may have room — placement follows the
+    /// request's key, not queue depth).
     pub fn try_submit(
         &self,
         req: S::Request,
@@ -413,8 +291,8 @@ where
     }
 
     /// True once **every** worker is terminally stopped (the cluster can
-    /// no longer serve anything; replicated clusters keep serving — with
-    /// failover — while any worker lives).
+    /// no longer serve anything; it keeps serving — with failover — while
+    /// any worker lives).
     pub fn is_stopped(&self) -> bool {
         self.workers.iter().all(Server::is_stopped)
     }

@@ -17,7 +17,7 @@ use at_core::{
     partition_rows, ApproximateService, ComposableService, Correlation, Ctx, ExecutionPolicy,
     FanOutService,
 };
-use at_server::{RoutingStrategy, ServerConfig, ShardConfig, ShardedServer};
+use at_server::{ServerConfig, ShardConfig, ShardedServer};
 use at_synopsis::{AggregationMode, SparseRow, SynopsisConfig};
 use proptest::prelude::*;
 
@@ -171,7 +171,6 @@ proptest! {
             &service,
             ShardConfig::default()
                 .with_workers(workers)
-                .with_routing(RoutingStrategy::HashAffinity)
                 .with_work_stealing(work_stealing)
                 .with_worker(
                     ServerConfig::default()
@@ -222,7 +221,6 @@ proptest! {
             &service,
             ShardConfig::default()
                 .with_workers(workers)
-                .with_routing(RoutingStrategy::HashAffinity)
                 .with_work_stealing(true)
                 .with_worker(
                     ServerConfig::default()

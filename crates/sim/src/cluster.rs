@@ -1,9 +1,10 @@
 //! The discrete-event cluster simulator.
 //!
-//! Substitution note (DESIGN.md §3): stands in for the paper's 30-node Xen
-//! cluster running 110 VMs under JStorm with co-located Hadoop jobs. The
-//! model keeps exactly the mechanisms the paper identifies as the sources
-//! of component tail latency:
+//! Substitution note (README § "What is simulated, what runs for real"):
+//! stands in for the paper's 30-node Xen cluster running 110 VMs under
+//! JStorm with co-located Hadoop jobs. The model keeps exactly the
+//! mechanisms the paper identifies as the sources of component tail
+//! latency:
 //!
 //! * **fan-out** — every request spawns one sub-operation on each of the
 //!   `n_components` parallel components;
@@ -29,7 +30,6 @@ use at_workloads::zipf::normal;
 use at_workloads::{InterferenceTrace, MapReduceConfig};
 
 use crate::cost::CostModel;
-use crate::failures::{FailureConfig, FailureTrace};
 use crate::metrics::{BucketedLatencies, LatencyRecorder};
 
 /// Tail-latency mitigation technique under test (§4.1 "compared
@@ -61,19 +61,6 @@ pub enum Technique {
         /// `i_max` (None = all sets).
         imax: Option<usize>,
     },
-    /// AccuracyTrader combined with request reissue — the paper positions
-    /// AccuracyTrader as a *complement* to exact-result techniques (§1);
-    /// this hybrid reissues a straggling AccuracyTrader sub-operation (one
-    /// stuck in a queue or on a crashed node) to the backup instance,
-    /// which then runs Algorithm 1 under the same original deadline.
-    Hybrid {
-        /// `l_spe` in seconds.
-        deadline_s: f64,
-        /// `i_max` (None = all sets).
-        imax: Option<usize>,
-        /// Percentile of the expected AT latency that triggers the replica.
-        trigger_percentile: f64,
-    },
 }
 
 /// Cluster-level simulation parameters.
@@ -89,8 +76,6 @@ pub struct SimConfig {
     pub cost: CostModel,
     /// Co-located MapReduce interference configuration.
     pub interference: MapReduceConfig,
-    /// Optional node-failure injection (outages defer service).
-    pub failures: Option<FailureConfig>,
     /// Record detailed per-request state every k-th request (0 = never);
     /// the accuracy evaluations replay these against the real services.
     pub sample_every: usize,
@@ -109,7 +94,6 @@ impl Default for SimConfig {
             hetero_sigma: 0.15,
             cost: CostModel::default(),
             interference: MapReduceConfig::default(),
-            failures: None,
             sample_every: 0,
             bucket_s: 60.0,
             seed: 0xC10C,
@@ -211,31 +195,12 @@ pub fn simulate(arrivals: &[f64], technique: Technique, cfg: &SimConfig) -> SimR
     let hetero: Vec<f64> = (0..n_instances)
         .map(|_| normal(&mut rng, 0.0, cfg.hetero_sigma).exp())
         .collect();
-    let failures = match cfg.failures {
-        Some(f) => FailureTrace::generate(cfg.n_nodes, horizon, f),
-        None => FailureTrace::none(cfg.n_nodes),
-    };
 
     // Reissue trigger: the p-th percentile of the sub-op latency class,
     // estimated from unloaded service-time draws (queueing excluded, as
     // "expected latency" is a per-class constant in the paper's setup).
-    let trigger_delay = {
-        let spec = match technique {
-            Technique::Reissue { trigger_percentile } => {
-                Some((trigger_percentile, cfg.cost.exact_s))
-            }
-            Technique::Hybrid {
-                trigger_percentile,
-                imax,
-                ..
-            } => {
-                // Expected AT latency class: synopsis + the capped set work.
-                let k = imax.unwrap_or(cfg.cost.n_sets).min(cfg.cost.n_sets);
-                Some((trigger_percentile, cfg.cost.accuracy_trader_s(k)))
-            }
-            _ => None,
-        };
-        spec.map(|(pct, base)| {
+    let trigger_delay = match technique {
+        Technique::Reissue { trigger_percentile } => {
             let mut draws = Vec::with_capacity(4000);
             for i in 0..4000usize {
                 let inst = i % n;
@@ -243,10 +208,11 @@ pub fn simulate(arrivals: &[f64], technique: Technique, cfg: &SimConfig) -> SimR
                 let slow = interference.slowdown(instance_node(inst), t)
                     * hetero[inst]
                     * normal(&mut rng, 0.0, cfg.cost.jitter_sigma).exp();
-                draws.push(base * slow);
+                draws.push(cfg.cost.exact_s * slow);
             }
-            at_linalg::stats::percentile(&draws, pct)
-        })
+            Some(at_linalg::stats::percentile(&draws, trigger_percentile))
+        }
+        _ => None,
     };
 
     let mut heap: BinaryHeap<Event> = BinaryHeap::new();
@@ -288,9 +254,7 @@ pub fn simulate(arrivals: &[f64], technique: Technique, cfg: &SimConfig) -> SimR
                     request_idx: i,
                     arrival_s: arrivals[i],
                     sets_processed: match technique {
-                        Technique::AccuracyTrader { .. } | Technique::Hybrid { .. } => {
-                            Some(vec![0; n])
-                        }
+                        Technique::AccuracyTrader { .. } => Some(vec![0; n]),
                         _ => None,
                     },
                     made_deadline: match technique {
@@ -309,8 +273,7 @@ pub fn simulate(arrivals: &[f64], technique: Technique, cfg: &SimConfig) -> SimR
         } else {
             ev.component as usize
         };
-        // Service cannot begin while the node is down (crash / stall).
-        let start = failures.next_available(instance_node(inst), server_free[inst].max(ev.time));
+        let start = server_free[inst].max(ev.time);
         let slowdown = interference.slowdown(instance_node(inst), start)
             * hetero[inst]
             * normal(&mut rng, 0.0, cfg.cost.jitter_sigma).exp();
@@ -319,10 +282,7 @@ pub fn simulate(arrivals: &[f64], technique: Technique, cfg: &SimConfig) -> SimR
             Technique::Basic | Technique::Reissue { .. } | Technique::Partial { .. } => {
                 (cfg.cost.exact_s * slowdown, 0usize)
             }
-            Technique::AccuracyTrader { deadline_s, imax }
-            | Technique::Hybrid {
-                deadline_s, imax, ..
-            } => {
+            Technique::AccuracyTrader { deadline_s, imax } => {
                 // Wall-clock budget left once service begins; the synopsis
                 // pass always runs (the "slightly longer than required"
                 // floor of §4.3).
@@ -339,7 +299,7 @@ pub fn simulate(arrivals: &[f64], technique: Technique, cfg: &SimConfig) -> SimR
         let latency = completion - a;
 
         match technique {
-            Technique::Reissue { .. } | Technique::Hybrid { .. } => {
+            Technique::Reissue { .. } => {
                 let key = (ev.request, ev.component);
                 if ev.is_replica {
                     let primary = primary_done
@@ -376,10 +336,7 @@ pub fn simulate(arrivals: &[f64], technique: Technique, cfg: &SimConfig) -> SimR
 
         if let Some(sample) = sample_map.get_mut(&(ev.request as usize)) {
             if !ev.is_replica {
-                if matches!(
-                    technique,
-                    Technique::AccuracyTrader { .. } | Technique::Hybrid { .. }
-                ) {
+                if matches!(technique, Technique::AccuracyTrader { .. }) {
                     if let Some(v) = sample.sets_processed.as_mut() {
                         v[ev.component as usize] = sets;
                     }

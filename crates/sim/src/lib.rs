@@ -2,7 +2,8 @@
 //!
 //! Discrete-event cluster simulator for the AccuracyTrader reproduction
 //! (Han et al., ICPP 2016) — the substitute for the paper's 30-node Xen /
-//! JStorm testbed (substitution rationale in DESIGN.md §3).
+//! JStorm testbed (substitution rationale in README § "What is simulated,
+//! what runs for real").
 //!
 //! * [`cluster`] — the fan-out + FIFO-queue + heterogeneity + interference
 //!   model and the four techniques (Basic, Request reissue, Partial
@@ -23,15 +24,11 @@
 pub mod calibrate;
 pub mod cluster;
 pub mod cost;
-pub mod failures;
 pub mod metrics;
 pub mod runner;
-pub mod shard;
 
 pub use calibrate::calibrate;
 pub use cluster::{simulate, RequestSample, SimConfig, SimResult, Technique};
 pub use cost::CostModel;
-pub use failures::{FailureConfig, FailureTrace};
 pub use metrics::{BucketedLatencies, LatencyRecorder};
 pub use runner::{run_day, run_fixed_rate, run_hour, run_hour_window, sweep_rates};
-pub use shard::{pick_strategy, simulate_shards, ShardSimConfig, ShardSimResult, ShardStrategy};

@@ -43,7 +43,6 @@
 pub mod build;
 pub mod dataset;
 pub mod index_file;
-pub mod multi;
 pub mod reduce;
 pub mod synopsis;
 pub mod update;
@@ -51,7 +50,6 @@ pub mod update;
 pub use build::{BuildReport, SynopsisConfig, SynopsisStore};
 pub use dataset::{AggregationMode, Row, RowStore, SparseRow};
 pub use index_file::IndexFile;
-pub use multi::{MultiSynopsis, Resolution};
 pub use reduce::Reducer;
 pub use synopsis::{AggregatedPoint, Synopsis};
 pub use update::{DataUpdate, UpdateReport};

@@ -1,10 +1,11 @@
 //! Synthetic web-page corpus (Sogou-collection substitute).
 //!
-//! Substitution note (DESIGN.md §3): the Sogou crawl is unavailable, so we
-//! generate a topic-model corpus with the properties the search-engine
-//! experiments need: Zipf-skewed global term frequencies, **topical
-//! clustering** of pages (what the R-tree groups and what makes merged
-//! aggregated pages meaningful), and realistic document-length variation.
+//! Substitution note (README § "What is simulated, what runs for real"):
+//! the Sogou crawl is unavailable, so we generate a topic-model corpus with
+//! the properties the search-engine experiments need: Zipf-skewed global
+//! term frequencies, **topical clustering** of pages (what the R-tree
+//! groups and what makes merged aggregated pages meaningful), and realistic
+//! document-length variation.
 
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};

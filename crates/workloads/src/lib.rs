@@ -3,7 +3,7 @@
 //! Synthetic workload generators for the AccuracyTrader reproduction (Han
 //! et al., ICPP 2016). Each generator substitutes a dataset or trace the
 //! paper used but that cannot be shipped (substitution rationale in
-//! DESIGN.md §3):
+//! README § "What is simulated, what runs for real"):
 //!
 //! * [`ratings`] — MovieLens-like rating matrices (latent taste clusters,
 //!   Zipf item popularity).

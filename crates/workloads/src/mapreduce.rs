@@ -1,14 +1,15 @@
 //! Co-located MapReduce interference trace (SWIM / BigDataBench-MT
 //! substitute).
 //!
-//! Substitution note (DESIGN.md §3): the paper co-locates the service with
-//! Hadoop jobs replayed from a Facebook trace — CPU-intensive WordCount and
-//! I/O-intensive Sort, input sizes 1 MB–10 GB, mostly short-running. We
-//! generate an equivalent synthetic trace: per-node Poisson job arrivals,
-//! log-uniform input sizes, duration and slowdown derived from size and
-//! kind. The simulator multiplies a component's service time by the active
-//! slowdown of its node — the same mechanism ("frequently changing
-//! performance interference") that produces the paper's latency variance.
+//! Substitution note (README § "What is simulated, what runs for real"):
+//! the paper co-locates the service with Hadoop jobs replayed from a
+//! Facebook trace — CPU-intensive WordCount and I/O-intensive Sort, input
+//! sizes 1 MB–10 GB, mostly short-running. We generate an equivalent
+//! synthetic trace: per-node Poisson job arrivals, log-uniform input sizes,
+//! duration and slowdown derived from size and kind. The simulator
+//! multiplies a component's service time by the active slowdown of its node
+//! — the same mechanism ("frequently changing performance interference")
+//! that produces the paper's latency variance.
 
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};

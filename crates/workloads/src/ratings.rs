@@ -1,12 +1,13 @@
 //! Synthetic MovieLens-like rating data.
 //!
-//! Substitution note (DESIGN.md §3): the paper evaluates the recommender on
-//! the MovieLens 10M dataset, which we cannot ship. This generator produces
-//! a rating matrix with the properties CF and the synopsis pipeline exploit:
-//! low-rank latent structure (users/items have latent vectors), **taste
-//! clusters** (users sampled from a small set of taste prototypes, so
-//! Pearson-similar users exist for every active user), Zipf-skewed item
-//! popularity, and 1–5 star ratings with noise.
+//! Substitution note (README § "What is simulated, what runs for real"):
+//! the paper evaluates the recommender on the MovieLens 10M dataset, which
+//! we cannot ship. This generator produces a rating matrix with the
+//! properties CF and the synopsis pipeline exploit: low-rank latent
+//! structure (users/items have latent vectors), **taste clusters** (users
+//! sampled from a small set of taste prototypes, so Pearson-similar users
+//! exist for every active user), Zipf-skewed item popularity, and 1–5 star
+//! ratings with noise.
 
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};

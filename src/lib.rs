@@ -43,10 +43,9 @@
 //! To scale past one serving loop,
 //! [`server::ShardedServer`](crate::server::ShardedServer) runs N workers
 //! — each with its own queue, dispatcher, stats, controller, and
-//! supervisor — behind a routing front end
-//! ([`server::RoutingStrategy`](crate::server::RoutingStrategy)): hash
-//! affinity keeps duplicate-collapse locality, work stealing rebalances
-//! skew, and per-worker ladders isolate hot shards.
+//! supervisor — behind a hash-affinity front end: placing equal requests
+//! on one worker keeps duplicate-collapse locality, work stealing
+//! rebalances skew, and per-worker ladders isolate hot shards.
 //!
 //! This facade re-exports the whole workspace:
 //!
@@ -124,13 +123,10 @@ pub mod prelude {
     pub use at_search::{SearchRequest, SearchService, TopK};
     pub use at_server::{
         AdmissionController, ClusterStats, Decision, LadderConfig, LadderController, LoadSnapshot,
-        NoControl, RoutingStrategy, Server, ServerConfig, ServerStats, ShardConfig, ShardedServer,
-        SubmitError, Ticket,
+        NoControl, Server, ServerConfig, ServerStats, ShardConfig, ShardedServer, SubmitError,
+        Ticket,
     };
-    pub use at_sim::{
-        pick_strategy, simulate, simulate_shards, CostModel, ShardSimConfig, ShardStrategy,
-        SimConfig, Technique,
-    };
+    pub use at_sim::{simulate, CostModel, SimConfig, Technique};
     pub use at_synopsis::{
         AggregationMode, DataUpdate, Row, RowStore, SparseRow, SynopsisConfig, SynopsisStore,
     };

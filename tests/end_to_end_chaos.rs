@@ -247,33 +247,29 @@ impl AdmissionController for SharedLadder {
 }
 
 /// Hot-shard isolation: a compose-panic storm pinned to one worker of a
-/// hash-routed cluster stays that worker's problem. Each worker owns its
-/// own fault domain (its own injectors, dispatcher, supervisor, and
-/// ladder controller), so the sibling workers lose **nothing**: zero
-/// restarts, every ticket fulfilled byte-identically to the reference,
-/// policies never rewritten, ladders never climbed.
+/// hash-routed cluster stays that worker's problem. Each worker has its
+/// own dispatcher, supervisor, and ladder controller, so the sibling
+/// workers lose **nothing**: zero restarts, every ticket fulfilled
+/// byte-identically to the reference, policies never rewritten, ladders
+/// never climbed.
 #[test]
 fn compose_panic_storm_on_one_worker_leaves_siblings_unaffected() {
     const WORKERS: usize = 3;
     const PANICS: u64 = 8;
     let (n_items, rows, pool) = ratings();
 
-    // Per-worker fault domains need per-worker services: three separately
-    // built (byte-identical) chaos deployments, wired as shards so each
-    // worker owns its service outright. Worker 0's composer panics on its
-    // first eight compose calls; every other injector is transparent.
-    let mut worker_injectors: Vec<Vec<Arc<FaultInjector>>> =
-        (0..WORKERS).map(|_| transparent_injectors()).collect();
-    worker_injectors[0][0] = Arc::new(FaultInjector::new(17).with_rule(FaultRule::at_calls(
+    // Replicas share their service's injectors, so the composer's first
+    // eight calls panic on whichever worker makes them. The storm is
+    // pinned to worker 0 by order: only worker-0-homed requests are
+    // queued until all eight have fired, and stealing is off.
+    let mut injectors = transparent_injectors();
+    injectors[0] = Arc::new(FaultInjector::new(17).with_rule(FaultRule::at_calls(
         FaultSite::Compose,
         FaultKind::Panic,
         (0..PANICS).collect(),
     )));
-    let storm = worker_injectors[0][0].clone();
-    let shards: Vec<_> = worker_injectors
-        .iter()
-        .map(|inj| chaos_service(n_items, &rows, inj))
-        .collect();
+    let storm = injectors[0].clone();
+    let chaos = chaos_service(n_items, &rows, &injectors);
     let full_ref = plain_service(n_items, &rows, None);
 
     // One ladder per worker — hot-shard isolation is per-worker control.
@@ -286,10 +282,11 @@ fn compose_panic_storm_on_one_worker_leaves_siblings_unaffected() {
             )))
         })
         .collect();
-    let cluster = ShardedServer::from_shards_with(
-        shards,
+    let cluster = ShardedServer::replicated_with(
+        &chaos,
         ShardConfig::default()
-            .with_routing(RoutingStrategy::HashAffinity)
+            .with_workers(WORKERS)
+            .with_work_stealing(false)
             .with_worker(
                 ServerConfig::default()
                     .with_max_batch(1)
@@ -300,44 +297,62 @@ fn compose_panic_storm_on_one_worker_leaves_siblings_unaffected() {
     );
 
     let policy = ExecutionPolicy::budgeted(2);
-    let n = 72;
-    // (request, home worker, ordinal among that home's submissions, ticket)
     let mut per_home = vec![0u64; WORKERS];
+
+    // Phase 1: the storm. Worker 0's first eight rounds die in the
+    // composer while its siblings sit idle.
+    let homed_on_0: Vec<_> = pool
+        .iter()
+        .filter(|req| cluster.home_index(req) == 0)
+        .cloned()
+        .collect();
+    assert!(!homed_on_0.is_empty(), "some request must hash to worker 0");
+    cluster.pause();
+    let poisoned: Vec<_> = (0..PANICS as usize)
+        .map(|i| {
+            let req = homed_on_0[i % homed_on_0.len()].clone();
+            per_home[0] += 1;
+            cluster.submit(req, policy).expect("accepting")
+        })
+        .collect();
+    cluster.resume();
+    for ticket in poisoned {
+        assert!(
+            ticket.wait().is_err(),
+            "worker 0's first {PANICS} rounds die in the composer"
+        );
+    }
+
+    // Phase 2: the mixed stream, after the storm has passed.
+    let n = 72;
+    // (request, home worker, ticket)
     let tickets: Vec<_> = (0..n)
         .map(|i| {
             let req = pool[i % pool.len()].clone();
             let home = cluster.home_index(&req);
-            let ordinal = per_home[home];
             per_home[home] += 1;
             let ticket = cluster.submit(req.clone(), policy).expect("accepting");
-            (req, home, ordinal, ticket)
+            (req, home, ticket)
         })
         .collect();
     assert!(
-        per_home[0] > PANICS && per_home.iter().all(|&c| c > 0),
+        per_home.iter().all(|&c| c > 0),
         "the mix must exercise every worker: homes {per_home:?}"
     );
 
-    for (req, home, ordinal, ticket) in tickets {
-        if home == 0 && ordinal < PANICS {
-            assert!(
-                ticket.wait().is_err(),
-                "worker 0's first {PANICS} rounds die in the composer"
-            );
-        } else {
-            let got = ticket.wait().unwrap_or_else(|_| {
-                panic!("sibling/healed round (home {home}, ordinal {ordinal}) must fulfil")
-            });
-            let want = full_ref.serve(&req, &policy);
-            assert_eq!(
-                got.response, want.response,
-                "byte-identical to the reference"
-            );
-            assert_eq!(
-                got.policy_applied, policy,
-                "no worker's storm may degrade another worker's traffic"
-            );
-        }
+    for (req, home, ticket) in tickets {
+        let got = ticket
+            .wait()
+            .unwrap_or_else(|_| panic!("sibling/healed round (home {home}) must fulfil"));
+        let want = full_ref.serve(&req, &policy);
+        assert_eq!(
+            got.response, want.response,
+            "byte-identical to the reference"
+        );
+        assert_eq!(
+            got.policy_applied, policy,
+            "no worker's storm may degrade another worker's traffic"
+        );
     }
 
     assert_eq!(storm.injected_panics(), PANICS, "the storm fired exactly");
@@ -345,7 +360,7 @@ fn compose_panic_storm_on_one_worker_leaves_siblings_unaffected() {
         assert_eq!(ladder.level(), 0, "worker {i}'s ladder never climbed");
     }
     let stats = cluster.shutdown();
-    assert_eq!(stats.requests_stolen(), 0, "sharded topology never steals");
+    assert_eq!(stats.requests_stolen(), 0, "stealing is off");
     for (i, w) in stats.workers.iter().enumerate() {
         assert_eq!(
             w.submitted, per_home[i],

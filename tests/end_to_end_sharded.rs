@@ -1,9 +1,8 @@
 //! End-to-end multi-worker serving: a replicated `ShardedServer` over the
 //! real recommender deployment answers a duplicate-heavy mix
 //! byte-identically to the single-service reference, aggregates
-//! per-worker telemetry into a coherent cluster view, fails over from a
-//! dead worker, and agrees with the analytic shard model about the
-//! default routing strategy.
+//! per-worker telemetry into a coherent cluster view, and fails over from
+//! a dead worker.
 
 use accuracytrader::prelude::*;
 use std::sync::Arc;
@@ -234,28 +233,4 @@ fn dead_worker_fails_over_to_live_siblings() {
         "the dead worker only ever saw the poisoned round"
     );
     assert_eq!(stats.completed(), 32, "every failover round fulfilled");
-}
-
-/// The analytic shard model, fed the real deployment's route keys, picks
-/// hash affinity for a duplicate-heavy mix — which is exactly the
-/// `ShardConfig` default. Model and server agree on the default choice.
-#[test]
-fn shard_model_agrees_with_the_default_routing() {
-    let (_, _, pool) = ratings();
-    let keys: Vec<u64> = zipf_mix(&pool, 512)
-        .iter()
-        .map(RouteKey::route_key)
-        .collect();
-    let cfg = ShardSimConfig {
-        workers: 4,
-        cores: 1,
-        max_batch: 64,
-        ..ShardSimConfig::default()
-    };
-    let picked = pick_strategy(&keys, &cfg);
-    assert_eq!(picked.strategy, ShardStrategy::HashAffinity);
-    assert!(matches!(
-        ShardConfig::default().routing,
-        RoutingStrategy::HashAffinity
-    ));
 }

@@ -163,115 +163,3 @@ fn diurnal_day_reproduces_figure7_ordering() {
         "hour 22 must be much worse than hour 4 for basic"
     );
 }
-
-#[test]
-fn reissue_rescues_node_outages() {
-    // Failure injection: transient node crashes inflate Basic's tail badly;
-    // reissue routes around them (the backup lives on a different node).
-    use accuracytrader::sim::FailureConfig;
-    let failing = SimConfig {
-        failures: Some(FailureConfig {
-            mtbf_s: 120.0,
-            mttr_s: 2.0,
-            seed: 9,
-        }),
-        ..cfg()
-    };
-    let arrivals = poisson_arrivals(20.0, 30.0, 11);
-    let basic = simulate(&arrivals, Technique::Basic, &failing)
-        .latencies
-        .p999_ms();
-    let reissue = simulate(&arrivals, REISSUE, &failing).latencies.p999_ms();
-    assert!(
-        basic > 500.0,
-        "2 s outages must show in basic's p99.9: {basic}"
-    );
-    assert!(
-        reissue < basic / 2.0,
-        "reissue must rescue crashed sub-ops: reissue {reissue} vs basic {basic}"
-    );
-}
-
-#[test]
-fn accuracy_trader_survives_outages_with_degraded_coverage() {
-    use accuracytrader::sim::FailureConfig;
-    let failing = SimConfig {
-        failures: Some(FailureConfig {
-            mtbf_s: 120.0,
-            mttr_s: 2.0,
-            seed: 9,
-        }),
-        ..cfg()
-    };
-    let arrivals = poisson_arrivals(20.0, 30.0, 11);
-    let r = simulate(&arrivals, AT, &failing);
-    // The deadline is blown while a node is down (no technique can compute
-    // through a crash; the synopsis floor runs after recovery), so AT's
-    // p99.9 reflects the outage length — but it must not be worse than
-    // Basic's, and processing must resume between outages.
-    let at_tail = r.latencies.p999_ms();
-    let basic_tail = simulate(&arrivals, Technique::Basic, &failing)
-        .latencies
-        .p999_ms();
-    assert!(
-        at_tail <= basic_tail * 1.2,
-        "AT under failures ({at_tail}) must not exceed basic ({basic_tail})"
-    );
-    let sets: usize = r
-        .samples
-        .iter()
-        .flat_map(|s| s.sets_processed.as_ref().expect("sets"))
-        .sum();
-    assert!(sets > 0, "improvement must still happen between outages");
-}
-
-#[test]
-fn hybrid_reissue_cuts_accuracy_traders_outage_tail() {
-    // The paper positions AccuracyTrader as complementary to reissue: our
-    // Hybrid technique reissues straggling AT sub-ops. Under node outages
-    // the hybrid's tail must beat plain AT's (whose sub-ops wait out the
-    // crash), while keeping the same deadline behaviour otherwise.
-    use accuracytrader::sim::FailureConfig;
-    let failing = SimConfig {
-        failures: Some(FailureConfig {
-            mtbf_s: 90.0,
-            mttr_s: 3.0,
-            seed: 4,
-        }),
-        ..cfg()
-    };
-    let arrivals = poisson_arrivals(20.0, 40.0, 13);
-    let plain = simulate(&arrivals, AT, &failing).latencies.p999_ms();
-    let hybrid = simulate(
-        &arrivals,
-        Technique::Hybrid {
-            deadline_s: 0.1,
-            imax: None,
-            trigger_percentile: 95.0,
-        },
-        &failing,
-    )
-    .latencies
-    .p999_ms();
-    assert!(
-        hybrid < plain / 2.0,
-        "hybrid must rescue outage stragglers: hybrid {hybrid} vs AT {plain}"
-    );
-    // Without failures both stay near the deadline.
-    let calm = cfg();
-    let h_calm = simulate(
-        &arrivals,
-        Technique::Hybrid {
-            deadline_s: 0.1,
-            imax: None,
-            trigger_percentile: 95.0,
-        },
-        &calm,
-    )
-    .latencies
-    .p999_ms();
-    assert!(
-        h_calm < 250.0,
-        "hybrid without failures stays near deadline: {h_calm}"
-    );
-}

@@ -18,6 +18,19 @@ use crate::sparse::SparseMatrix;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
+/// Rows [`SvdModel::fold_in_rows`] steps in lockstep: enough independent
+/// SGD chains to cover one chain's latency.
+const FOLD_IN_LANES: usize = 8;
+
+/// One SGD step of a fold-in while dimension `d` trains: the entry's
+/// prediction from the frozen dimensions `0..d`, its column factor in
+/// `d`, and its observed value.
+struct FoldInStep {
+    base: f64,
+    col: f64,
+    val: f64,
+}
+
 /// Hyper-parameters for [`IncrementalSvd`].
 #[derive(Clone, Copy, Debug)]
 pub struct SvdConfig {
@@ -112,35 +125,88 @@ impl SvdModel {
         self.global_mean + crate::vector::dot(self.row_factors.row(r), self.col_factors.row(c))
     }
 
-    /// Project a *new* row (given as a sparse `(col, value)` list) into the
-    /// latent space by training only its factor vector against the frozen
-    /// column factors. This is the incremental "fold-in" used when synopsis
-    /// updating sees newly added data points.
-    pub fn fold_in_row(&self, cols: &[u32], vals: &[f64], epochs: usize) -> Vec<f64> {
-        debug_assert_eq!(cols.len(), vals.len());
-        let dims = self.config.dims;
-        let mut factors = vec![self.config.init_scale; dims];
-        if cols.is_empty() {
-            return factors;
-        }
-        let lr = self.config.learning_rate;
-        let reg = self.config.regularization;
-        for d in 0..dims {
-            for _ in 0..epochs {
-                for (&c, &v) in cols.iter().zip(vals) {
-                    let col = self.col_factors.row(c as usize);
-                    // Prediction using dimensions trained so far plus the
-                    // one in flight, mirroring the per-dimension training.
-                    let mut pred = self.global_mean;
-                    for k in 0..=d {
-                        pred += factors[k] * col[k];
-                    }
-                    let err = v - pred;
-                    factors[d] += lr * (err * col[d] - reg * factors[d]);
-                }
-            }
+    /// Project new rows, each given as a sparse `(cols, vals)` pair, into
+    /// the latent space by training only their factor vectors against the
+    /// frozen column factors: the incremental "fold-in" synopsis updating
+    /// uses for added and changed data points. Row `i` of the result is
+    /// the projection of `rows[i]`; a single row is a batch of one, and an
+    /// empty row keeps its initial factors.
+    ///
+    /// Each row runs the same SGD chain it would run alone, bit for bit.
+    /// Up to eight rows step in lockstep so their independent chains
+    /// overlap, and while dimension `d` trains the dimensions below it are
+    /// frozen, so each entry's `global_mean + Σ_{k<d} f_k·c_k` is summed
+    /// once per dimension (in the same order) instead of once per epoch.
+    pub fn fold_in_rows(&self, rows: &[(&[u32], &[f64])], epochs: usize) -> Matrix {
+        debug_assert!(rows.iter().all(|(cols, vals)| cols.len() == vals.len()));
+        let mut factors = Matrix::filled(rows.len(), self.config.dims, self.config.init_scale);
+        // Longest first, so the rows of one group run out at similar steps
+        // and the rows still running at any step are a prefix of the group.
+        let mut order: Vec<usize> = (0..rows.len()).collect();
+        order.sort_by_key(|&r| std::cmp::Reverse(rows[r].0.len()));
+        let mut steps = Vec::new();
+        for group in order.chunks(FOLD_IN_LANES) {
+            self.fold_in_group(rows, group, epochs, &mut factors, &mut steps);
         }
         factors
+    }
+
+    /// Train the rows `group` (at most [`FOLD_IN_LANES`], longest first)
+    /// of `rows` in lockstep, one dimension at a time, into `factors`.
+    fn fold_in_group(
+        &self,
+        rows: &[(&[u32], &[f64])],
+        group: &[usize],
+        epochs: usize,
+        factors: &mut Matrix,
+        steps: &mut Vec<FoldInStep>,
+    ) {
+        let lens: Vec<usize> = group.iter().map(|&r| rows[r].0.len()).collect();
+        let longest = lens[0];
+        let lr = self.config.learning_rate;
+        let reg = self.config.regularization;
+        for d in 0..self.config.dims {
+            // Entry position i of every row still running there, in lane
+            // order, with its frozen prefix prediction.
+            steps.clear();
+            for i in 0..longest {
+                for (&r, _) in group.iter().zip(&lens).filter(|&(_, &len)| len > i) {
+                    let (cols, vals) = rows[r];
+                    let col = self.col_factors.row(cols[i] as usize);
+                    let frozen = &factors.row(r)[..d];
+                    let mut base = self.global_mean;
+                    for (f, c) in frozen.iter().zip(col) {
+                        base += f * c;
+                    }
+                    steps.push(FoldInStep {
+                        base,
+                        col: col[d],
+                        val: vals[i],
+                    });
+                }
+            }
+            let mut f = [0.0; FOLD_IN_LANES];
+            for (lane, &r) in group.iter().enumerate() {
+                f[lane] = factors.get(r, d);
+            }
+            for _ in 0..epochs {
+                let mut running = group.len();
+                let mut at = 0;
+                for i in 0..longest {
+                    while lens[running - 1] <= i {
+                        running -= 1;
+                    }
+                    for (fl, step) in f.iter_mut().zip(&steps[at..at + running]) {
+                        let err = step.val - (step.base + *fl * step.col);
+                        *fl += lr * (err * step.col - reg * *fl);
+                    }
+                    at += running;
+                }
+            }
+            for (lane, &r) in group.iter().enumerate() {
+                factors.set(r, d, f[lane]);
+            }
+        }
     }
 
     /// RMSE of the model over all observed cells of `data` — the measure
@@ -369,8 +435,34 @@ mod tests {
         );
     }
 
+    /// The one-row fold-in `fold_in_rows` replaced, kept as its oracle:
+    /// one row at a time, the prediction re-summed over every trained
+    /// dimension on every step.
+    fn fold_in_row_oracle(model: &SvdModel, cols: &[u32], vals: &[f64], epochs: usize) -> Vec<f64> {
+        let cfg = model.config;
+        let mut factors = vec![cfg.init_scale; cfg.dims];
+        if cols.is_empty() {
+            return factors;
+        }
+        for d in 0..cfg.dims {
+            for _ in 0..epochs {
+                for (&c, &v) in cols.iter().zip(vals) {
+                    let col = model.col_factors.row(c as usize);
+                    let mut pred = model.global_mean;
+                    for k in 0..=d {
+                        pred += factors[k] * col[k];
+                    }
+                    let err = v - pred;
+                    factors[d] +=
+                        cfg.learning_rate * (err * col[d] - cfg.regularization * factors[d]);
+                }
+            }
+        }
+        factors
+    }
+
     #[test]
-    fn fold_in_row_reconstructs_its_values() {
+    fn fold_in_rows_reconstructs_its_values() {
         // The point of fold-in is that the projected vector, combined with
         // the frozen column factors, predicts the new row's observed values.
         let data = rank1_matrix(20, 10);
@@ -383,11 +475,12 @@ mod tests {
         .fit(&data);
         let cols: Vec<u32> = data.row_cols(7).to_vec();
         let vals: Vec<f64> = data.row_values(7).to_vec();
-        let v = model.fold_in_row(&cols, &vals, 400);
+        let projected = model.fold_in_rows(&[(&cols, &vals)], 400);
+        let v = projected.row(0);
         let mut se = 0.0;
         for (&c, &actual) in cols.iter().zip(&vals) {
             let pred =
-                model.global_mean() + crate::vector::dot(&v, model.col_factors().row(c as usize));
+                model.global_mean() + crate::vector::dot(v, model.col_factors().row(c as usize));
             se += (pred - actual) * (pred - actual);
         }
         let rmse = (se / vals.len() as f64).sqrt();
@@ -398,8 +491,57 @@ mod tests {
     fn fold_in_empty_row_returns_init() {
         let data = rank1_matrix(5, 5);
         let model = IncrementalSvd::new(SvdConfig::default().with_epochs(5)).fit(&data);
-        let v = model.fold_in_row(&[], &[], 50);
-        assert_eq!(v.len(), 3);
+        let v = model.fold_in_rows(&[(&[], &[])], 50);
+        assert_eq!((v.rows(), v.cols()), (1, 3));
+        assert_eq!(v.row(0), &[0.1; 3]);
+    }
+
+    #[test]
+    fn fold_in_rows_matches_one_row_oracle_bit_for_bit() {
+        // Uneven rows, some empty, at batch sizes around the lockstep
+        // width: every row must come out exactly as it would alone.
+        let mut b = SparseMatrixBuilder::new(30, 40);
+        for r in 0..30 {
+            for c in (0..40u32).filter(|c| !(r as u32 * 7 + c).is_multiple_of(3)) {
+                b.push(r, c, 1.0 + ((r as u32 * 5 + c * 3) % 9) as f64 * 0.5);
+            }
+        }
+        let model = IncrementalSvd::new(SvdConfig::default().with_epochs(30)).fit(&b.build());
+        let mut rng = StdRng::seed_from_u64(7);
+        for n in [1, 7, 8, 9, 20] {
+            let rows: Vec<(Vec<u32>, Vec<f64>)> = (0..n)
+                .map(|i| {
+                    let len = if i % 5 == 3 {
+                        0
+                    } else {
+                        rng.random_range(1..40usize)
+                    };
+                    let mut cols: Vec<u32> = (0..40).collect();
+                    for j in 0..40 {
+                        cols.swap(j, rng.random_range(j..40));
+                    }
+                    cols.truncate(len);
+                    cols.sort_unstable();
+                    let vals = cols.iter().map(|_| rng.random_range(0.5..5.0)).collect();
+                    (cols, vals)
+                })
+                .collect();
+            let batch: Vec<(&[u32], &[f64])> = rows
+                .iter()
+                .map(|(c, v)| (c.as_slice(), v.as_slice()))
+                .collect();
+            let projected = model.fold_in_rows(&batch, 25);
+            assert_eq!(projected.rows(), n);
+            for (i, (cols, vals)) in rows.iter().enumerate() {
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(projected.row(i)),
+                    bits(&fold_in_row_oracle(&model, cols, vals, 25)),
+                    "batch of {n}, row {i} ({} entries)",
+                    cols.len()
+                );
+            }
+        }
     }
 
     #[test]

@@ -159,7 +159,7 @@ impl<R: Row> RowStore<R> {
     /// Check a row entering the store: `cols` strictly ascending, in
     /// range, and parallel to `vals`. The kernels assume all three and
     /// `SparseRow`'s fields are public, so this is the boundary.
-    fn check(&self, op: &str, row: &SparseRow) {
+    pub(crate) fn check(&self, op: &str, row: &SparseRow) {
         assert_eq!(
             row.cols.len(),
             row.vals.len(),
@@ -255,21 +255,26 @@ impl<R: Row> RowStore<R> {
 
     /// Aggregate `members`' rows into one row under `mode`. Column order of
     /// the result is sorted ascending; empty member list gives an empty row.
+    ///
+    /// Sums go into a dense `(sum, count)` slot per column, members folded
+    /// in the order given, so each column's value is the same sequence of
+    /// additions whatever the stored layout; pass members sorted to match
+    /// a fresh build over the same group.
     pub fn aggregate(&self, members: &[u64], mode: AggregationMode) -> SparseRow {
-        // Merge member rows column-wise: (sum, count) per column.
-        let mut acc: std::collections::BTreeMap<u32, (f64, u32)> =
-            std::collections::BTreeMap::new();
+        let mut acc = vec![(0.0f64, 0u32); self.feature_dim];
         for &id in members {
             self.rows[id as usize].for_each(|c, v| {
-                let e = acc.entry(c).or_insert((0.0, 0));
+                let e = &mut acc[c as usize];
                 e.0 += v;
                 e.1 += 1;
             });
         }
-        let mut cols = Vec::with_capacity(acc.len());
-        let mut vals = Vec::with_capacity(acc.len());
-        for (c, (sum, count)) in acc {
-            cols.push(c);
+        // Sized exactly: a `SparseRow`-layout synopsis keeps this row as is.
+        let nnz = acc.iter().filter(|e| e.1 > 0).count();
+        let mut cols = Vec::with_capacity(nnz);
+        let mut vals = Vec::with_capacity(nnz);
+        for (c, &(sum, count)) in acc.iter().enumerate().filter(|(_, e)| e.1 > 0) {
+            cols.push(c as u32);
             vals.push(match mode {
                 AggregationMode::Mean => sum / count as f64,
                 AggregationMode::Merge => sum,
@@ -282,6 +287,38 @@ impl<R: Row> RowStore<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// The `BTreeMap` merge `aggregate` replaced, kept as its oracle.
+    fn aggregate_oracle<R: Row>(
+        store: &RowStore<R>,
+        members: &[u64],
+        mode: AggregationMode,
+    ) -> SparseRow {
+        let mut acc: BTreeMap<u32, (f64, u32)> = BTreeMap::new();
+        for &id in members {
+            store.row(id).for_each(|c, v| {
+                let e = acc.entry(c).or_insert((0.0, 0));
+                e.0 += v;
+                e.1 += 1;
+            });
+        }
+        let mut row = SparseRow::default();
+        for (c, (sum, count)) in acc {
+            row.cols.push(c);
+            row.vals.push(match mode {
+                AggregationMode::Mean => sum / count as f64,
+                AggregationMode::Merge => sum,
+            });
+        }
+        row
+    }
+
+    /// A row down to the bit: `f64` equality would let `-0.0 == 0.0` through.
+    fn bits(row: &SparseRow) -> Vec<(u32, u64)> {
+        row.iter().map(|(c, v)| (c, v.to_bits())).collect()
+    }
 
     fn store() -> RowStore {
         let mut s = RowStore::new(5);
@@ -403,5 +440,36 @@ mod tests {
         assert_eq!(m.cols(), 5);
         assert_eq!(m.nnz(), 6);
         assert_eq!(m.get(0, 2), Some(2.0));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn aggregate_matches_btreemap_oracle_bit_for_bit(
+            rows in prop::collection::vec(
+                prop::collection::vec((0u32..70, -5.0f64..5.0), 0..30),
+                1..24,
+            ),
+            picks in prop::collection::vec(0usize..64, 0..40),
+        ) {
+            let mut sparse = RowStore::new(70);
+            for pairs in rows {
+                sparse.push_row(SparseRow::from_pairs(pairs));
+            }
+            let blocked = sparse.clone().into_layout::<BlockedRow>();
+            // In the order given, repeats allowed, as well as the edge
+            // cases: nobody, one member, everyone.
+            let n = sparse.len() as u64;
+            let some: Vec<u64> = picks.iter().map(|&p| p as u64 % n).collect();
+            let everyone: Vec<u64> = (0..n).collect();
+            for members in [&[][..], &[n - 1][..], &everyone[..], &some[..]] {
+                for mode in [AggregationMode::Mean, AggregationMode::Merge] {
+                    let expect = bits(&aggregate_oracle(&sparse, members, mode));
+                    prop_assert_eq!(bits(&sparse.aggregate(members, mode)), expect.clone());
+                    prop_assert_eq!(bits(&blocked.aggregate(members, mode)), expect);
+                }
+            }
+        }
     }
 }

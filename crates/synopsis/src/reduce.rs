@@ -6,6 +6,7 @@
 
 use crate::dataset::{Row, RowStore, SparseRow};
 use at_linalg::svd::{IncrementalSvd, SvdConfig, SvdModel};
+use at_linalg::Matrix;
 
 /// A fitted dimensionality reducer (the paper's incremental SVD, step 1).
 #[derive(Clone, Debug)]
@@ -42,10 +43,16 @@ impl Reducer {
         self.model.row_factors().rows()
     }
 
-    /// Project a new/changed row into the latent space (fold-in).
-    pub fn project(&self, row: &SparseRow) -> Vec<f64> {
-        self.model
-            .fold_in_row(&row.cols, &row.vals, self.fold_in_epochs)
+    /// Project new or changed rows into the latent space (fold-in): row
+    /// `i` of the result is the reduced vector of `rows[i]`. Each row's
+    /// projection depends on that row alone, so a batch projects exactly
+    /// as its rows would one at a time; a single row is a batch of one.
+    pub fn project(&self, rows: &[&SparseRow]) -> Matrix {
+        let rows: Vec<(&[u32], &[f64])> = rows
+            .iter()
+            .map(|r| (r.cols.as_slice(), r.vals.as_slice()))
+            .collect();
+        self.model.fold_in_rows(&rows, self.fold_in_epochs)
     }
 
     /// Borrow the underlying SVD model.
@@ -85,14 +92,15 @@ mod tests {
         let d = dataset();
         let r = Reducer::fit(&d, SvdConfig::default().with_dims(2).with_epochs(150));
         let row = d.row(3).clone();
-        let proj = r.project(&row);
+        let projected = r.project(&[&row]);
+        let proj = projected.row(0);
         // Compare prediction error of the projection vs. the fitted vector.
         let m = r.model();
         let mut err_proj = 0.0;
         let mut err_fit = 0.0;
         for (c, v) in row.iter() {
             let pp =
-                m.global_mean() + at_linalg::vector::dot(&proj, m.col_factors().row(c as usize));
+                m.global_mean() + at_linalg::vector::dot(proj, m.col_factors().row(c as usize));
             let pf = m.predict(3, c as usize);
             err_proj += (pp - v) * (pp - v);
             err_fit += (pf - v) * (pf - v);

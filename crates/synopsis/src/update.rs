@@ -8,12 +8,18 @@
 //!    re-project, insert fresh leaves (which is why the paper finds change
 //!    updates slower than pure additions — exactly reproducible here).
 //!
-//! After the tree is updated, only the aggregated points whose membership
-//! actually changed are re-generated; untouched parts of the synopsis are
-//! kept verbatim.
+//! A batch runs in three phases. It is checked whole first, so a bad
+//! update panics before anything is touched. Then every row is projected,
+//! the batch split across the rayon pool's threads: a projection reads
+//! only the frozen latent space, so it needs nothing the batch mutates.
+//! Last, the updates are applied in order. After the tree is updated, only
+//! the aggregated points whose membership changed, or one of whose member
+//! rows changed, are re-generated; the rest of the synopsis is kept
+//! verbatim.
 
 use std::time::{Duration, Instant};
 
+use at_linalg::Matrix;
 use rayon::prelude::*;
 
 use crate::build::SynopsisStore;
@@ -51,12 +57,28 @@ pub struct UpdateReport {
     pub duration: Duration,
 }
 
+impl DataUpdate {
+    /// The feature row this update brings in.
+    fn row(&self) -> &SparseRow {
+        match self {
+            DataUpdate::Add(row) | DataUpdate::Change { row, .. } => row,
+        }
+    }
+}
+
 impl<R: Row> SynopsisStore<R> {
     /// Apply a batch of input-data changes, updating `dataset`, the R-tree,
     /// the index file, and (incrementally) the synopsis.
     ///
+    /// Every row is projected before anything is mutated, the batch split
+    /// across the pool's threads; the updates are then applied in order, so
+    /// the result is the same as applying them one batch each (a `Change`
+    /// may name a row an earlier `Add` of the same batch created).
+    ///
     /// # Panics
-    /// Panics if a `Change` references an id not present in `dataset`.
+    /// Panics, before `dataset` or the store is touched, if a `Change`
+    /// references an id not present in `dataset` (counting the batch's
+    /// earlier `Add`s) or a row is malformed (see [`RowStore::push_row`]).
     pub fn apply_updates(
         &mut self,
         dataset: &mut RowStore<R>,
@@ -65,31 +87,52 @@ impl<R: Row> SynopsisStore<R> {
         let start = Instant::now();
         let mut report = UpdateReport::default();
 
-        for update in updates {
+        let mut len = dataset.len();
+        for update in &updates {
             match update {
                 DataUpdate::Add(row) => {
-                    let reduced = self.reducer.project(&row);
+                    dataset.check("apply_updates", row);
+                    len += 1;
+                }
+                DataUpdate::Change { id, row } => {
+                    assert!((*id as usize) < len, "Change references unknown id {id}");
+                    dataset.check("apply_updates", row);
+                }
+            }
+        }
+
+        let rows: Vec<&SparseRow> = updates.iter().map(DataUpdate::row).collect();
+        let per_thread = rows.len().div_ceil(rayon::current_num_threads()).max(1);
+        let chunks: Vec<&[&SparseRow]> = rows.chunks(per_thread).collect();
+        let reducer = &self.reducer;
+        let projected: Vec<Matrix> = chunks
+            .par_iter()
+            .map(|chunk| reducer.project(chunk))
+            .collect();
+
+        let mut changed = Vec::new();
+        let reduced = projected.iter().flat_map(Matrix::iter_rows);
+        for (update, reduced) in updates.into_iter().zip(reduced) {
+            match update {
+                DataUpdate::Add(row) => {
                     let id = dataset.push_row(row);
-                    self.tree.insert(id, &reduced);
+                    self.tree.insert(id, reduced);
                     report.added += 1;
                 }
                 DataUpdate::Change { id, row } => {
-                    assert!(
-                        (id as usize) < dataset.len(),
-                        "Change references unknown id {id}"
-                    );
-                    let reduced = self.reducer.project(&row);
                     dataset.replace_row(id, row);
                     // Delete-then-insert of the leaf entry, per the paper.
                     self.tree.remove(id);
-                    self.tree.insert(id, &reduced);
+                    self.tree.insert(id, reduced);
+                    changed.push(id);
                     report.changed += 1;
                 }
             }
         }
 
         // Reconcile the cut level: re-generate only groups whose membership
-        // changed, drop groups whose node vanished, add new nodes' groups.
+        // or member rows changed, drop groups whose node vanished, add new
+        // nodes' groups.
         let depth = self.depth();
         let nodes = self.tree.nodes_at_depth(depth);
         let current: std::collections::HashSet<_> = nodes.iter().copied().collect();
@@ -111,7 +154,11 @@ impl<R: Row> SynopsisStore<R> {
             // Sorted order keeps aggregation summation identical to a fresh
             // build over the same group (float addition is order-sensitive).
             members.sort_unstable();
-            if self.index.set_members(n, members.clone()) {
+            let moved = self.index.set_members(n, members.clone());
+            // A changed row that landed back in its own group moves no
+            // membership, but the group's aggregate still holds its old
+            // values.
+            if moved || changed.iter().any(|id| members.binary_search(id).is_ok()) {
                 dirty.push((n, members));
             }
         }
@@ -289,5 +336,93 @@ mod tests {
                 row: new_row(0),
             }],
         );
+    }
+
+    #[test]
+    fn change_that_stays_in_its_group_regenerates_it() {
+        // A nudged row usually lands back in its own group: no membership
+        // moves, but the group's aggregate must still take the new values.
+        let mut data = dataset(200);
+        let (mut store, _) = SynopsisStore::build(&data, AggregationMode::Mean, cfg());
+        let group_of = |store: &SynopsisStore, id: u64| {
+            let (node, members) = store
+                .index()
+                .iter()
+                .find(|(_, m)| m.contains(&id))
+                .expect("every row is in a group");
+            (node, members.to_vec())
+        };
+        let mut stayed = 0;
+        for id in 0..40u64 {
+            let before = group_of(&store, id);
+            let row = data.row(id);
+            let nudged = SparseRow::from_pairs(row.iter().map(|(c, v)| (c, v + 0.001)).collect());
+            store.apply_updates(&mut data, vec![DataUpdate::Change { id, row: nudged }]);
+            stayed += usize::from(group_of(&store, id) == before);
+            for p in store.synopsis().iter() {
+                let members = store.index().members(p.node).unwrap();
+                let expect = data.aggregate(members, AggregationMode::Mean);
+                assert_eq!(p.info, expect, "row {id}: stale aggregate for {:?}", p.node);
+            }
+        }
+        assert!(
+            stayed > 0,
+            "no change stayed in its group; the test proves nothing"
+        );
+    }
+
+    #[test]
+    fn change_may_name_a_row_added_earlier_in_the_batch() {
+        let mut data = dataset(100);
+        let (mut store, _) = SynopsisStore::build(&data, AggregationMode::Mean, cfg());
+        let report = store.apply_updates(
+            &mut data,
+            vec![
+                DataUpdate::Add(new_row(1)),
+                DataUpdate::Change {
+                    id: 100,
+                    row: new_row(2),
+                },
+            ],
+        );
+        assert_eq!((report.added, report.changed), (1, 1));
+        assert_eq!(data.row(100), &new_row(2));
+        store.validate().unwrap();
+    }
+
+    #[test]
+    fn bad_change_panics_before_touching_the_store() {
+        // The bad id comes after two additions and a good change: none of
+        // them may have landed when the batch panics. The caller that
+        // survives the panic observes it across a thread join.
+        let mut data = dataset(200);
+        let (mut store, _) = SynopsisStore::build(&data, AggregationMode::Mean, cfg());
+        let groups = store.synopsis().len();
+        let outcome = std::thread::scope(|s| {
+            s.spawn(|| {
+                store.apply_updates(
+                    &mut data,
+                    vec![
+                        DataUpdate::Add(new_row(1)),
+                        DataUpdate::Add(new_row(2)),
+                        DataUpdate::Change {
+                            id: 3,
+                            row: new_row(3),
+                        },
+                        DataUpdate::Change {
+                            id: 202,
+                            row: new_row(4),
+                        },
+                    ],
+                )
+            })
+            .join()
+        });
+        assert!(outcome.is_err(), "id 202 is past the two additions");
+        assert_eq!(data.len(), 200);
+        assert_eq!(store.tree().len(), 200);
+        assert_eq!(store.synopsis().len(), groups);
+        assert_ne!(data.row(3), &new_row(3));
+        store.validate().expect("consistent after a refused batch");
     }
 }

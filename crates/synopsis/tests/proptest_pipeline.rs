@@ -96,14 +96,19 @@ proptest! {
 
     #[test]
     fn batched_and_oneshot_updates_agree_on_membership(ops in prop::collection::vec(op_strategy(), 2..16)) {
-        // Applying updates in one batch or one-at-a-time must end with the
-        // same dataset and a valid store either way.
+        // Applying updates in one batch or one at a time must end in the
+        // same store down to the bit: dataset, tree leaves, index members
+        // and synopsis rows. A `Change` may name a row the batch added.
+        let mut rows = 100;
         let updates: Vec<DataUpdate> = ops
             .iter()
             .map(|op| match op {
-                Op::Add(pairs) => DataUpdate::Add(to_row(pairs)),
+                Op::Add(pairs) => {
+                    rows += 1;
+                    DataUpdate::Add(to_row(pairs))
+                }
                 Op::Change(id, pairs) => DataUpdate::Change {
-                    id: *id as u64 % 100,
+                    id: *id as u64 % rows,
                     row: to_row(pairs),
                 },
             })
@@ -122,8 +127,30 @@ proptest! {
         store_b.validate().map_err(TestCaseError::fail)?;
 
         prop_assert_eq!(data_a.len(), data_b.len());
-        for id in 0..data_a.len() as u64 {
-            prop_assert_eq!(data_a.row(id), data_b.row(id), "row {} diverged", id);
+        for id in data_a.ids() {
+            prop_assert_eq!(bits(data_a.row(id)), bits(data_b.row(id)), "row {} diverged", id);
+        }
+        let leaves = |store: &SynopsisStore| {
+            let mut leaves: Vec<(u64, at_rtree::NodeId, Vec<u64>)> = Vec::new();
+            for (item, leaf) in store.tree().items() {
+                let at_rtree::NodeKind::Leaf(entries) = &store.tree().node(leaf).kind else {
+                    unreachable!("items() names leaves");
+                };
+                let entry = entries.iter().find(|e| e.item == item).expect("item in its leaf");
+                leaves.push((item, leaf, entry.point.iter().map(|x| x.to_bits()).collect()));
+            }
+            leaves.sort();
+            leaves
+        };
+        prop_assert_eq!(leaves(&store_a), leaves(&store_b));
+        let points_a = store_a.synopsis().points_with_stats();
+        let points_b = store_b.synopsis().points_with_stats();
+        prop_assert_eq!(points_a.len(), points_b.len());
+        for ((p, stats), (q, stats_q)) in points_a.iter().zip(points_b) {
+            prop_assert_eq!((p.node, p.member_count), (q.node, q.member_count));
+            prop_assert_eq!(store_a.index().members(p.node), store_b.index().members(q.node));
+            prop_assert_eq!(bits(&p.info), bits(&q.info), "point {:?}", p.node);
+            prop_assert_eq!(stats, stats_q);
         }
     }
 

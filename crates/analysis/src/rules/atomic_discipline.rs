@@ -2,8 +2,8 @@
 //! allowlisted telemetry counter (where `Relaxed` is the documented
 //! default — the counters are monotone and never gate control flow) or
 //! carry a per-site justification escape. This keeps relaxed loads from
-//! silently creeping into protocol logic (stopped flags, steal-ring
-//! ordinals, restart budgets) where reordering is a correctness bug,
+//! silently creeping into protocol logic (stopped flags, fault-injector
+//! call ordinals, restart budgets) where reordering is a correctness bug,
 //! and conversely flags gratuitous `SeqCst` on plain counters.
 
 use crate::config::{ConfigError, RuleConfig};

@@ -22,8 +22,9 @@
 //! This is deliberately name-based, not instance-based: two `Worker`
 //! values each locking their own `state` field collapse onto one node,
 //! which over-approximates (sound for deadlock *detection* on this
-//! codebase, where every cross-instance acquisition goes through the
-//! one-at-a-time steal-ring idiom) — see ANALYSIS.md for limitations.
+//! codebase, where the one cross-instance acquisition, the cluster
+//! router's failover scan, takes one worker's lock at a time) — see
+//! ANALYSIS.md for limitations.
 
 use crate::config::{ConfigError, RuleConfig};
 use crate::lexer::{Token, TokenKind};

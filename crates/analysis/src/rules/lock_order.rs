@@ -21,8 +21,8 @@ each hold one and wait forever for the other; the latency budget does not surviv
 dispatcher. This rule replays every function's guard scopes, records which lock is acquired \
 while another guard is live, and rejects any cycle in the resulting acquisition graph. Lock \
 identity is name-based (field or guard-helper method), which over-approximates across \
-instances; justified single-lock-at-a-time idioms (the steal ring) stay clean because they \
-drop the first guard before taking the next.";
+instances; justified single-lock-at-a-time idioms (the cluster router's failover scan) stay \
+clean because they drop the first guard before taking the next.";
 
 #[derive(Debug, Clone)]
 struct Site {
@@ -39,7 +39,7 @@ pub fn run(
     let acquire = guards::acquire_matchers(rule)?;
 
     // Aggregate edges across the whole scanned set: cycles typically span
-    // files (submit in one, steal in another).
+    // files (submit in one, drain in another).
     let mut edge_sites: BTreeMap<(String, String), Vec<Site>> = BTreeMap::new();
     let mut edge_files: BTreeMap<(String, String), Vec<std::rc::Rc<FileData>>> = BTreeMap::new();
     for file in files {

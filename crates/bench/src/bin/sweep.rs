@@ -243,7 +243,7 @@ fn run_level(
 }
 
 // ---------------------------------------------------------------------
-// shard: workers {1, 2, 4, 8} × work stealing {on, off}
+// shard: workers {1, 2, 4, 8}
 // ---------------------------------------------------------------------
 
 /// Dispatcher micro-batch cap. Large batches are what make collapse
@@ -258,54 +258,42 @@ const IN_FLIGHT: usize = 4096;
 const SETS: usize = 5;
 
 /// Replays the mix under `Budgeted{sets: 5}` through a hash-affinity
-/// `ShardedServer`, sweeping worker count × work stealing on/off. The
-/// submitter keeps a fixed sliding window of in-flight tickets, so every
-/// configuration sees the same offered load; latency is
-/// `ServiceResponse::elapsed` from the enqueue instant.
+/// `ShardedServer`, sweeping the worker count. The submitter keeps a
+/// fixed sliding window of in-flight tickets, so every configuration
+/// sees the same offered load; latency is `ServiceResponse::elapsed`
+/// from the enqueue instant.
 ///
 /// What hash affinity buys beyond the box's cores is **collapse
 /// locality**: it partitions the key space, so each worker's micro-batches
 /// draw from `K / W` keys and hold fewer *unique* requests, and the
 /// duplicate collapse in `serve_batch_at` runs each pass once per unique.
-/// On a zipf mix that leaves hot and cold workers; stealing lets an idle
-/// worker drain half of a hot sibling's queue, and `stolen_share` says how
-/// much of the stream moved. The effect is honest only when a unique serve
-/// costs what production fan-outs cost, hence the full-size deployment.
-/// One worker has no sibling to steal from, so the baseline runs with
-/// stealing off.
+/// On a zipf mix that leaves hot and cold workers, and each worker serves
+/// exactly the requests hashed to it. The effect is honest only when a
+/// unique serve costs what production fan-outs cost, hence the full-size
+/// deployment.
 fn shard(service: &Service, mix: &[ActiveUser], json: &mut String) {
     let policy = ExecutionPolicy::budgeted(SETS);
     for req in mix.iter().take(64) {
         std::hint::black_box(service.serve(req, &policy)); // warm pools
     }
 
-    let w1 = run_sharded(service, mix, &policy, 1, false);
+    let runs =
+        [1usize, 2, 4, 8].map(|workers| (workers, run_sharded(service, mix, &policy, workers)));
+    let w1_rps = runs[0].1.throughput_rps;
     let mut rows = Vec::new();
-    let mut push_row = |workers: usize, stealing: bool, run: ShardRun| {
-        let speedup = run.throughput_rps / w1.throughput_rps;
-        let name = format!("w{workers}_steal_{}", if stealing { "on" } else { "off" });
+    for (workers, run) in runs {
+        let speedup = run.throughput_rps / w1_rps;
+        let name = format!("w{workers}");
         eprintln!(
-            "{name:<14} {:>10.0} req/s  p99 {:>9.3} ms  speedup {speedup:>6.2}x  \
-             stolen {:>5.3}",
-            run.throughput_rps, run.p99_ms, run.stolen_share
+            "{name:<4} {:>10.0} req/s  p99 {:>9.3} ms  speedup {speedup:>6.2}x",
+            run.throughput_rps, run.p99_ms
         );
         rows.push(format!(
             "{{\"name\": \"{name}\", \"workers\": {workers}, \
-             \"work_stealing\": {stealing}, \"throughput_rps\": {:.1}, \
-             \"p99_ms\": {:.3}, \"speedup_vs_1w\": {speedup:.3}, \
-             \"stolen_share\": {:.4}}}",
-            run.throughput_rps, run.p99_ms, run.stolen_share
+             \"throughput_rps\": {:.1}, \"p99_ms\": {:.3}, \
+             \"speedup_vs_1w\": {speedup:.3}}}",
+            run.throughput_rps, run.p99_ms
         ));
-    };
-    push_row(1, false, w1);
-    for workers in [2usize, 4, 8] {
-        for stealing in [true, false] {
-            push_row(
-                workers,
-                stealing,
-                run_sharded(service, mix, &policy, workers, stealing),
-            );
-        }
     }
 
     let _ = writeln!(json, "  \"requests\": {},", mix.len());
@@ -317,12 +305,9 @@ fn shard(service: &Service, mix: &[ActiveUser], json: &mut String) {
 }
 
 /// What one `run_sharded` replay measured.
-#[derive(Clone, Copy)]
 struct ShardRun {
     throughput_rps: f64,
     p99_ms: f64,
-    /// Share of the mix served by a worker other than its hash home.
-    stolen_share: f64,
 }
 
 /// Replay `mix` through a fresh sharded server, keeping a sliding window
@@ -332,16 +317,12 @@ fn run_sharded(
     mix: &[ActiveUser],
     policy: &ExecutionPolicy,
     workers: usize,
-    work_stealing: bool,
 ) -> ShardRun {
-    let config = ShardConfig::default()
-        .with_workers(workers)
-        .with_work_stealing(work_stealing)
-        .with_worker(
-            ServerConfig::default()
-                .with_queue_capacity(IN_FLIGHT * 2)
-                .with_max_batch(MAX_BATCH),
-        );
+    let config = ShardConfig::default().with_workers(workers).with_worker(
+        ServerConfig::default()
+            .with_queue_capacity(IN_FLIGHT * 2)
+            .with_max_batch(MAX_BATCH),
+    );
     let server = ShardedServer::replicated(service, config);
     let mut latencies = Vec::with_capacity(mix.len());
     let mut window: VecDeque<at_server::Ticket<at_server::Response<CfService>>> =
@@ -358,10 +339,9 @@ fn run_sharded(
         latencies.push(ticket.wait().expect("fulfilled").elapsed);
     }
     let wall = start.elapsed().as_secs_f64();
-    let stats = server.shutdown();
+    server.shutdown();
     ShardRun {
         throughput_rps: mix.len() as f64 / wall,
         p99_ms: p99_ms(&mut latencies),
-        stolen_share: stats.requests_stolen() as f64 / mix.len() as f64,
     }
 }

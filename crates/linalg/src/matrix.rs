@@ -50,34 +50,6 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
-    /// Build a matrix from an iterator of rows.
-    ///
-    /// # Panics
-    /// Panics if rows have inconsistent lengths.
-    pub fn from_rows<I, R>(rows: I) -> Self
-    where
-        I: IntoIterator<Item = R>,
-        R: AsRef<[f64]>,
-    {
-        let mut data = Vec::new();
-        let mut cols = None;
-        let mut nrows = 0;
-        for row in rows {
-            let row = row.as_ref();
-            match cols {
-                None => cols = Some(row.len()),
-                Some(c) => assert_eq!(c, row.len(), "from_rows: ragged rows"),
-            }
-            data.extend_from_slice(row);
-            nrows += 1;
-        }
-        Matrix {
-            rows: nrows,
-            cols: cols.unwrap_or(0),
-            data,
-        }
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -135,61 +107,6 @@ impl Matrix {
         self.data.chunks_exact(self.cols.max(1)).take(self.rows)
     }
 
-    /// Matrix transpose (allocates).
-    pub fn transpose(&self) -> Matrix {
-        let mut t = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                t.data[c * self.rows + r] = self.data[r * self.cols + c];
-            }
-        }
-        t
-    }
-
-    /// Matrix product `self * other` (naive triple loop; only used in tests
-    /// and small reconstruction checks, never on hot paths).
-    ///
-    /// # Panics
-    /// Panics if `self.cols != other.rows`.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul: {}x{} * {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for r in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.data[r * self.cols + k];
-                if a == 0.0 {
-                    continue;
-                }
-                let orow = &other.data[k * other.cols..(k + 1) * other.cols];
-                let out_row = &mut out.data[r * other.cols..(r + 1) * other.cols];
-                for (o, &b) in out_row.iter_mut().zip(orow) {
-                    *o += a * b;
-                }
-            }
-        }
-        out
-    }
-
-    /// Frobenius norm of `self - other`, used to measure SVD reconstruction
-    /// error in tests.
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
-    pub fn frobenius_distance(&self, other: &Matrix) -> f64 {
-        assert_eq!(self.rows, other.rows, "frobenius: row mismatch");
-        assert_eq!(self.cols, other.cols, "frobenius: col mismatch");
-        self.data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-            .sqrt()
-    }
-
     /// Flat row-major data.
     pub fn as_slice(&self) -> &[f64] {
         &self.data
@@ -237,20 +154,6 @@ mod tests {
     }
 
     #[test]
-    fn from_rows_builds_consistent_matrix() {
-        let m = Matrix::from_rows([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]);
-        assert_eq!(m.rows(), 3);
-        assert_eq!(m.cols(), 2);
-        assert_eq!(m.row(2), &[5.0, 6.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "ragged")]
-    fn from_rows_ragged_panics() {
-        Matrix::from_rows([vec![1.0, 2.0], vec![3.0]]);
-    }
-
-    #[test]
     fn row_mut_mutates_in_place() {
         let mut m = Matrix::zeros(2, 3);
         m.row_mut(1).copy_from_slice(&[7.0, 8.0, 9.0]);
@@ -259,40 +162,8 @@ mod tests {
     }
 
     #[test]
-    fn transpose_involution() {
-        let m = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let t = m.transpose();
-        assert_eq!(t.rows(), 3);
-        assert_eq!(t.cols(), 2);
-        assert_eq!(t.get(2, 1), 6.0);
-        assert_eq!(t.transpose(), m);
-    }
-
-    #[test]
-    fn matmul_identity() {
-        let m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        let id = Matrix::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0]);
-        assert_eq!(m.matmul(&id), m);
-        assert_eq!(id.matmul(&m), m);
-    }
-
-    #[test]
-    fn matmul_known_product() {
-        let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let b = Matrix::from_vec(3, 2, vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0]);
-        let c = a.matmul(&b);
-        assert_eq!(c.as_slice(), &[58.0, 64.0, 139.0, 154.0]);
-    }
-
-    #[test]
-    fn frobenius_distance_zero_for_equal() {
-        let m = Matrix::filled(3, 3, 2.5);
-        assert_eq!(m.frobenius_distance(&m), 0.0);
-    }
-
-    #[test]
     fn iter_rows_yields_all_rows() {
-        let m = Matrix::from_rows([[1.0], [2.0], [3.0]]);
+        let m = Matrix::from_vec(3, 1, vec![1.0, 2.0, 3.0]);
         let rows: Vec<_> = m.iter_rows().collect();
         assert_eq!(rows, vec![&[1.0][..], &[2.0][..], &[3.0][..]]);
     }

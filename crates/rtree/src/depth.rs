@@ -21,32 +21,20 @@ impl RTree {
         }
         let mut level = vec![self.root()];
         for _ in 0..depth {
-            let mut next = Vec::new();
-            for id in level {
-                if let NodeKind::Internal(children) = &self.node(id).kind {
-                    next.extend(children.iter().copied());
-                }
-            }
-            level = next;
+            level = self.children_of(&level);
         }
         level
     }
 
-    /// Node counts per depth, `level_sizes()[d] == nodes_at_depth(d).len()`.
-    pub fn level_sizes(&self) -> Vec<usize> {
-        let mut sizes = Vec::with_capacity(self.height());
-        let mut level = vec![self.root()];
-        while !level.is_empty() {
-            sizes.push(level.len());
-            let mut next = Vec::new();
-            for id in level {
-                if let NodeKind::Internal(children) = &self.node(id).kind {
-                    next.extend(children.iter().copied());
-                }
+    /// The next level down: every child of `level`'s nodes, in order.
+    fn children_of(&self, level: &[NodeId]) -> Vec<NodeId> {
+        let mut next = Vec::new();
+        for &id in level {
+            if let NodeKind::Internal(children) = &self.node(id).kind {
+                next.extend(children.iter().copied());
             }
-            level = next;
         }
-        sizes
+        next
     }
 
     /// Pick the depth whose node count is (geometrically) closest to
@@ -57,15 +45,18 @@ impl RTree {
     /// `|ln(count / target)|`; ties prefer the deeper (finer) level.
     pub fn select_depth(&self, target_aggregated: usize) -> usize {
         let target = target_aggregated.max(1) as f64;
-        let sizes = self.level_sizes();
         let mut best = 0usize;
         let mut best_dist = f64::INFINITY;
-        for (d, &count) in sizes.iter().enumerate() {
-            let dist = (count as f64 / target).ln().abs();
+        let mut level = vec![self.root()];
+        let mut depth = 0usize;
+        while !level.is_empty() {
+            let dist = (level.len() as f64 / target).ln().abs();
             if dist <= best_dist {
-                best = d;
+                best = depth;
                 best_dist = dist;
             }
+            level = self.children_of(&level);
+            depth += 1;
         }
         best
     }
@@ -102,23 +93,6 @@ impl RTree {
         }
         n
     }
-
-    /// The ancestor of `leaf`'s node at exactly `depth`, used by synopsis
-    /// updating to find which aggregated data point an inserted/removed item
-    /// belongs to.
-    ///
-    /// Returns `None` if the node sits above `depth`.
-    pub fn ancestor_at_depth(&self, node: NodeId, depth: usize) -> Option<NodeId> {
-        // Walk to the root recording the path, then index from the top.
-        let mut path = vec![node];
-        let mut cur = node;
-        while let Some(p) = self.node(cur).parent {
-            path.push(p);
-            cur = p;
-        }
-        path.reverse(); // path[0] = root at depth 0
-        path.get(depth).copied()
-    }
 }
 
 #[cfg(test)]
@@ -142,22 +116,18 @@ mod tests {
         )
     }
 
-    #[test]
-    fn level_sizes_shape() {
-        let t = tree(300);
-        let sizes = t.level_sizes();
-        assert_eq!(sizes.len(), t.height());
-        assert_eq!(sizes[0], 1, "exactly one root");
-        for w in sizes.windows(2) {
-            assert!(w[1] > w[0], "levels must widen: {sizes:?}");
-        }
+    /// Node counts per depth, root first.
+    fn level_sizes(t: &RTree) -> Vec<usize> {
+        (0..t.height()).map(|d| t.nodes_at_depth(d).len()).collect()
     }
 
     #[test]
-    fn nodes_at_depth_matches_level_sizes() {
+    fn levels_widen_from_one_root() {
         let t = tree(300);
-        for (d, &expect) in t.level_sizes().iter().enumerate() {
-            assert_eq!(t.nodes_at_depth(d).len(), expect, "depth {d}");
+        let sizes = level_sizes(&t);
+        assert_eq!(sizes[0], 1, "exactly one root");
+        for w in sizes.windows(2) {
+            assert!(w[1] > w[0], "levels must widen: {sizes:?}");
         }
         assert!(t.nodes_at_depth(t.height()).is_empty());
     }
@@ -192,7 +162,7 @@ mod tests {
     #[test]
     fn select_depth_is_geometrically_closest() {
         let t = tree(1000);
-        let sizes = t.level_sizes();
+        let sizes = level_sizes(&t);
         for target in [1usize, 4, 20, 100, 100_000] {
             let d = t.select_depth(target);
             let dist = |count: usize| (count as f64 / target.max(1) as f64).ln().abs();
@@ -213,24 +183,9 @@ mod tests {
     }
 
     #[test]
-    fn ancestor_walks_to_requested_depth() {
-        let t = tree(400);
-        let leaf_depth = t.height() - 1;
-        let leaf = t.leaf_of(17).unwrap();
-        assert_eq!(t.ancestor_at_depth(leaf, 0), Some(t.root()));
-        assert_eq!(t.ancestor_at_depth(leaf, leaf_depth), Some(leaf));
-        assert_eq!(t.ancestor_at_depth(leaf, leaf_depth + 5), None);
-        // The ancestor at depth d must contain the leaf among its items.
-        for d in 0..t.height() {
-            let anc = t.ancestor_at_depth(leaf, d).unwrap();
-            assert!(t.items_under(anc).contains(&17));
-        }
-    }
-
-    #[test]
     fn empty_tree_levels() {
         let t = RTree::new(2, RTreeConfig::default());
-        assert_eq!(t.level_sizes(), vec![1]);
+        assert_eq!(level_sizes(&t), vec![1]);
         assert_eq!(t.select_depth(100), 0);
         assert!(t.items_under(t.root()).is_empty());
     }

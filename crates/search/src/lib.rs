@@ -16,7 +16,6 @@ pub mod accuracy;
 pub mod adapter;
 pub mod engine;
 pub mod index;
-pub mod score;
 pub mod tokenize;
 pub mod topk;
 
@@ -24,6 +23,5 @@ pub use accuracy::{accuracy_loss_pct, topk_overlap};
 pub use adapter::{section_top_k_coverage, SearchRequest, SearchService, COMPONENT_STRIDE};
 pub use engine::search_exact;
 pub use index::InvertedIndex;
-pub use score::{Bm25, Bm25Params};
 pub use tokenize::{tokenize, Vocabulary};
 pub use topk::{Hit, TopK};

@@ -113,7 +113,7 @@
 //! [`ServerStats::shed`]).
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -278,45 +278,8 @@ impl<R, T> SharedQueue<R, T> {
 /// Shorthand for a service's queue-shared state.
 type SharedOf<S> = SharedQueue<<S as at_core::ApproximateService>::Request, Response<S>>;
 
-/// The steal ring of a multi-worker deployment: every worker's shared
-/// queue, in worker order, installed once after all workers exist.
-/// Dispatchers observe `None` until installation completes, so no
-/// dispatcher can steal from a ring still under construction.
-pub(crate) struct StealRing<S: ComposableService> {
-    queues: OnceLock<Vec<Arc<SharedOf<S>>>>,
-}
-
-impl<S: ComposableService> StealRing<S> {
-    pub(crate) fn new() -> Self {
-        StealRing {
-            queues: OnceLock::new(),
-        }
-    }
-
-    /// Install the worker queues (first call wins; later calls no-op).
-    pub(crate) fn install(&self, queues: Vec<Arc<SharedOf<S>>>) {
-        let _ = self.queues.set(queues);
-    }
-}
-
-/// One worker's view of the steal ring: the ring plus its own position
-/// (a dispatcher never steals from itself).
-pub(crate) struct StealPlan<S: ComposableService> {
-    pub(crate) ring: Arc<StealRing<S>>,
-    pub(crate) self_idx: usize,
-}
-
-/// How long a steal-enabled dispatcher sleeps between wakeups when its
-/// own queue is dry: sibling backlog arrives without any local notify,
-/// so the idle wait polls instead of parking indefinitely.
-const STEAL_POLL: Duration = Duration::from_micros(500);
-
 /// Shorthand for a service's queued entries.
 type EntryOf<S> = Entry<<S as at_core::ApproximateService>::Request, Response<S>>;
-
-/// A successfully stolen round: the victim's queue (telemetry home), the
-/// poached entries, and the victim's pre-steal depth.
-type StolenRound<S> = (Arc<SharedOf<S>>, Vec<EntryOf<S>>, usize);
 
 /// The response type a server for service `S` completes tickets with.
 pub type Response<S> = ServiceResponse<<S as ComposableService>::Response>;
@@ -369,18 +332,6 @@ where
         config: ServerConfig,
         controller: impl AdmissionController + 'static,
     ) -> Self {
-        Self::spawn(service, config, controller, None)
-    }
-
-    /// The full-control constructor behind [`with_controller`]
-    /// (Self::with_controller): a [`ShardedServer`] additionally wires
-    /// each worker into the deployment's steal ring.
-    pub(crate) fn spawn(
-        service: Arc<FanOutService<S>>,
-        config: ServerConfig,
-        controller: impl AdmissionController + 'static,
-        steal: Option<StealPlan<S>>,
-    ) -> Self {
         assert!(config.queue_capacity > 0, "queue capacity must be >= 1");
         assert!(config.max_batch > 0, "micro-batch cap must be >= 1");
         let shared: Arc<SharedOf<S>> = Arc::new(SharedQueue {
@@ -400,7 +351,7 @@ where
             let shared = shared.clone();
             std::thread::Builder::new()
                 .name("at-server-supervisor".into())
-                .spawn(move || supervise(&service, &shared, config, &controller, steal.as_ref()))
+                .spawn(move || supervise(&service, &shared, config, &controller))
                 // lint: allow(panic-freedom) reason=construction-time spawn failure is an unrecoverable environment error, not a serving-path condition
                 .expect("spawn supervisor thread")
         };
@@ -419,11 +370,6 @@ where
     /// The served fan-out service.
     pub fn service(&self) -> &Arc<FanOutService<S>> {
         &self.service
-    }
-
-    /// This worker's shared queue handle, for steal-ring installation.
-    pub(crate) fn shared_handle(&self) -> Arc<SharedOf<S>> {
-        self.shared.clone()
     }
 
     /// Submit a request without blocking: it is stamped submitted *now*
@@ -622,7 +568,6 @@ fn supervise<S>(
     shared: &SharedOf<S>,
     config: ServerConfig,
     controller: &dyn AdmissionController,
-    steal: Option<&StealPlan<S>>,
 ) where
     S: ComposableService + Sync,
     S::Request: Clone + PartialEq + RouteKey + Send + Sync,
@@ -636,7 +581,7 @@ fn supervise<S>(
             std::thread::Builder::new()
                 .name("at-server-dispatcher".into())
                 .spawn_scoped(scope, || {
-                    dispatch_loop(service, shared, config.max_batch, controller, steal)
+                    dispatch_loop(service, shared, config.max_batch, controller)
                 })
                 // lint: allow(panic-freedom) reason=spawn failure here is an unrecoverable environment error, and the supervisor thread owns no lock a panic could poison
                 .expect("spawn dispatcher thread")
@@ -697,32 +642,21 @@ fn mark_stopped<R, T>(shared: &SharedQueue<R, T>) {
     shared.space.notify_all();
 }
 
-/// What one dispatcher iteration acquired: a batch from its own queue,
-/// or one stolen from a sibling worker's queue (whose shared handle
-/// rides along so telemetry and tickets stay attributed to the home
-/// worker).
-enum Round<S: ComposableService> {
-    Own(Vec<EntryOf<S>>, usize),
-    Stolen(Arc<SharedOf<S>>, Vec<EntryOf<S>>, usize),
-}
-
 /// The dispatcher: drain micro-batches, consult the admission controller
 /// per request, group by *effective* policy, serve each group in one
 /// batched call, fulfil tickets. Exits once shut down **and** drained.
 /// Runs under [`supervise`]; a panic here cancels only the drained
 /// batch's tickets and the supervisor respawns the loop.
 ///
-/// With a [`StealPlan`], a dispatcher whose own queue runs dry steals
-/// the oldest half of the deepest sibling queue instead of parking:
-/// zipf-skewed hash-affinity routing leaves some workers hot and some
-/// idle, and a stolen batch still drains from *one* home queue, so the
-/// duplicate-collapse locality that hash routing bought is preserved.
+/// The dispatcher only ever drains its own queue and parks on its
+/// `work` condvar while that queue is dry or paused: in a
+/// [`ShardedServer`] a request is served, and admission-controlled, by
+/// the worker it was placed on.
 fn dispatch_loop<S>(
     service: &FanOutService<S>,
     shared: &SharedOf<S>,
     max_batch: usize,
     controller: &dyn AdmissionController,
-    steal: Option<&StealPlan<S>>,
 ) where
     S: ComposableService + Sync,
     S::Request: Clone + PartialEq + RouteKey + Sync,
@@ -735,133 +669,45 @@ fn dispatch_loop<S>(
     let mut waits_scratch: Vec<u64> = Vec::new();
     let mut coverage_scratch: Vec<f64> = Vec::new();
     loop {
-        let round: Round<S> = 'acquire: {
+        let (batch, backlog) = {
             let mut state = shared.state();
             loop {
                 if !state.entries.is_empty() && (!state.paused || state.shutdown) {
                     let depth = state.entries.len();
                     let take = depth.min(max_batch);
-                    break 'acquire Round::Own(state.entries.drain(..take).collect(), depth);
+                    break (state.entries.drain(..take).collect(), depth);
                 }
                 if state.shutdown {
                     return; // drained
                 }
-                let Some(plan) = steal else {
-                    state = shared
-                        .work
-                        .wait(state)
-                        .unwrap_or_else(|poisoned| poisoned.into_inner());
-                    continue;
-                };
-                // Own queue is dry (or paused): try a sibling before
-                // sleeping. The lock is dropped first — stealing locks
-                // the sibling's queue, and lock ordering across workers
-                // must stay single-lock-at-a-time.
-                drop(state);
-                if let Some((home, batch, depth)) = try_steal(plan, max_batch) {
-                    break 'acquire Round::Stolen(home, batch, depth);
-                }
-                let guard = shared.state();
-                let (guard, _timeout) = shared
+                state = shared
                     .work
-                    .wait_timeout(guard, STEAL_POLL)
+                    .wait(state)
                     .unwrap_or_else(|poisoned| poisoned.into_inner());
-                state = guard;
             }
         };
-        match round {
-            Round::Own(batch, backlog) => {
-                shared.space.notify_all();
-                serve_round(
-                    service,
-                    shared,
-                    batch,
-                    backlog,
-                    Some(controller),
-                    &mut waits_scratch,
-                    &mut coverage_scratch,
-                );
-            }
-            Round::Stolen(home, batch, backlog) => {
-                let n = batch.len() as u64;
-                shared
-                    .counters
-                    .steals
-                    .fetch_add(n, std::sync::atomic::Ordering::Relaxed);
-                home.counters
-                    .stolen
-                    .fetch_add(n, std::sync::atomic::Ordering::Relaxed);
-                // Stolen rounds skip admission control: the thief is idle
-                // by definition, so serving at full price is the right
-                // trade — the home worker's ladder reacts to whatever
-                // backlog remains in its own queue.
-                serve_round(
-                    service,
-                    &home,
-                    batch,
-                    backlog,
-                    None,
-                    &mut waits_scratch,
-                    &mut coverage_scratch,
-                );
-            }
-        }
+        shared.space.notify_all();
+        serve_round(
+            service,
+            shared,
+            batch,
+            backlog,
+            controller,
+            &mut waits_scratch,
+            &mut coverage_scratch,
+        );
     }
 }
 
-/// Steal the oldest half (capped at `max_batch`) of the deepest
-/// eligible sibling queue. Paused and stopped siblings are never
-/// touched (pausing must keep staged entries in place), and the drained
-/// entries leave under the sibling's own lock, so every entry is owned
-/// by exactly one dispatcher. Returns the home worker's shared handle
-/// with the batch: completions and telemetry stay attributed to the
-/// queue of origin.
-fn try_steal<S>(plan: &StealPlan<S>, max_batch: usize) -> Option<StolenRound<S>>
-where
-    S: ComposableService,
-{
-    let queues = plan.ring.queues.get()?;
-    let mut deepest: Option<(usize, usize)> = None;
-    for (i, queue) in queues.iter().enumerate() {
-        if i == plan.self_idx {
-            continue;
-        }
-        let state = queue.state();
-        if state.paused || state.stopped || state.entries.is_empty() {
-            continue;
-        }
-        let depth = state.entries.len();
-        if deepest.is_none_or(|(_, best)| depth > best) {
-            deepest = Some((i, depth));
-        }
-    }
-    let (victim, _) = deepest?;
-    let home = queues.get(victim)?.clone();
-    let mut state = home.state();
-    // Re-checked under the victim's lock: the scan above released it.
-    if state.paused || state.stopped || state.entries.is_empty() {
-        return None;
-    }
-    let depth = state.entries.len();
-    let take = depth.div_ceil(2).min(max_batch);
-    // lint: allow(hot-path-alloc) reason=one Vec per successful steal, amortized over up to max_batch poached requests; the drain must leave the victim's lock quickly, so copying out beats serving under it
-    let batch: Vec<EntryOf<S>> = state.entries.drain(..take).collect();
-    drop(state);
-    home.space.notify_all();
-    Some((home, batch, depth))
-}
-
-/// Serve one acquired round against `home`'s telemetry: record the
-/// round's queue waits (one window lock), consult the controller (own
-/// rounds only), group by effective policy, drive one `serve_batch_at`
-/// per group, and fulfil the tickets. Shared by own and stolen rounds —
-/// `home` is the queue the batch came from.
+/// Serve one drained round: record the round's queue waits (one window
+/// lock), consult the controller, group by effective policy, drive one
+/// `serve_batch_at` per group, and fulfil the tickets.
 fn serve_round<S>(
     service: &FanOutService<S>,
-    home: &SharedOf<S>,
+    shared: &SharedOf<S>,
     batch: Vec<EntryOf<S>>,
     backlog: usize,
-    controller: Option<&dyn AdmissionController>,
+    controller: &dyn AdmissionController,
     waits_scratch: &mut Vec<u64>,
     coverage_scratch: &mut Vec<f64>,
 ) where
@@ -875,8 +721,9 @@ fn serve_round<S>(
         let wait = dispatched.saturating_duration_since(entry.enqueued);
         waits_scratch.push(u64::try_from(wait.as_nanos()).unwrap_or(u64::MAX));
     }
-    home.counters.record_dequeues(waits_scratch);
-    home.counters
+    shared.counters.record_dequeues(waits_scratch);
+    shared
+        .counters
         .batches
         .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
 
@@ -887,25 +734,22 @@ fn serve_round<S>(
     // of traffic first" is what a fractional controller does. The
     // pass-through controller skips all of it: no snapshot, no
     // decisions buffer — the uncontrolled hot path is unchanged.
-    let decisions: Option<Vec<Decision>> = match controller {
-        None => None,
-        Some(controller) if controller.is_pass_through() => None,
-        Some(controller) => {
-            let snapshot = home.counters.load_snapshot(
-                backlog - batch.len(),
-                home.capacity,
-                service.components().len(),
-                service.open_components(),
-            );
-            controller.observe(&snapshot);
-            let mut decisions = vec![Decision::Admit; batch.len()];
-            for (slot, entry) in decisions.iter_mut().zip(&batch).rev() {
-                *slot = controller.decide(&snapshot, &entry.policy);
-            }
-            Some(decisions)
+    let decisions: Option<Vec<Decision>> = if controller.is_pass_through() {
+        None
+    } else {
+        let snapshot = shared.counters.load_snapshot(
+            backlog - batch.len(),
+            shared.capacity,
+            service.components().len(),
+            service.open_components(),
+        );
+        controller.observe(&snapshot);
+        let mut decisions = vec![Decision::Admit; batch.len()];
+        for (slot, entry) in decisions.iter_mut().zip(&batch).rev() {
+            *slot = controller.decide(&snapshot, &entry.policy);
         }
+        Some(decisions)
     };
-
     // Group by effective policy in first-appearance order:
     // `serve_batch_at` drives one policy per call, and mixed-policy
     // streams are the norm (the controller degrades some requests,
@@ -920,7 +764,8 @@ fn serve_round<S>(
             .unwrap_or(Decision::Admit);
         let policy = match decision {
             Decision::Shed => {
-                home.counters
+                shared
+                    .counters
                     .shed
                     .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 continue;
@@ -950,9 +795,10 @@ fn serve_round<S>(
         // Coverage lands in the window before any of the group's tickets
         // resolve (one lock per group), preserving the old per-response
         // record-then-fulfil ordering for stats readers.
-        home.counters.record_coverages(coverage_scratch);
+        shared.counters.record_coverages(coverage_scratch);
         for (sender, response) in senders.into_iter().zip(responses) {
-            home.counters
+            shared
+                .counters
                 .completed
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             sender.fulfill(response);

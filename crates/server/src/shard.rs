@@ -19,8 +19,10 @@
 //!   queue+dispatch    queue+dispatch   queue+dispatch
 //!   stats+controller  stats+controller stats+controller
 //!   supervisor        supervisor       supervisor
-//!        └────────────── work stealing ─────────────┘
 //! ```
+//!
+//! Workers share nothing at serving time: each dispatcher drains only its
+//! own queue and parks on its own condvar while that queue is dry.
 //!
 //! ## Topology and placement
 //!
@@ -34,15 +36,13 @@
 //! — on zipf-skewed traffic this cuts the *unique* requests per
 //! micro-batch by ~the worker count, which is where the multi-worker
 //! throughput win comes from (measured by `at-bench`'s `sweep shard` →
-//! `BENCH_shard.json`). A terminally stopped home worker fails over to
-//! the shallowest live sibling.
-//!
-//! Hash affinity on a skewed mix leaves hot and cold workers; **work
-//! stealing** (on by default) rebalances without giving up collapse
-//! locality: an idle dispatcher steals the oldest half of the deepest
-//! sibling queue, and since a stolen batch drains from *one* home queue
-//! it still holds that home's (few) hot keys. Stolen requests complete
-//! against the home worker's telemetry.
+//! `BENCH_shard.json`). A request is served, and admission-controlled,
+//! by its hash home; the one exception is a terminally stopped home
+//! worker, which fails over to the shallowest live sibling. Hash
+//! affinity on a skewed mix leaves hot and cold workers, and nothing
+//! rebalances them: like a component in the paper, a worker bounds its
+//! tail by what it does with its own input (its admission ladder), not
+//! by moving work to its siblings.
 //!
 //! ## Hot-shard isolation
 //!
@@ -51,10 +51,8 @@
 //! storm on one worker climbs *that* worker's degradation ladder and
 //! burns *that* worker's restart budget while its siblings' throughput,
 //! ladder level, and restart budget stay untouched (chaos-tested in
-//! `tests/end_to_end_chaos.rs`). Under a storm, disable work stealing —
-//! an idle sibling stealing a poison batch imports the blast radius —
-//! which is the isolation-versus-utilization trade
-//! [`ShardConfig::with_work_stealing`] exists to make.
+//! `tests/end_to_end_chaos.rs`). No sibling ever dequeues another
+//! worker's requests, so a poison batch never leaves its home worker.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -63,15 +61,13 @@ use at_core::{clock, ComposableService, ExecutionPolicy, FanOutService, RouteKey
 
 use crate::control::{AdmissionController, NoControl};
 use crate::stats::{LoadSnapshot, ServerStats};
-use crate::{Response, Server, ServerConfig, StealPlan, StealRing, SubmitError, Ticket};
+use crate::{Response, Server, ServerConfig, SubmitError, Ticket};
 
 /// Sizing and placement of a [`ShardedServer`].
 #[derive(Clone, Copy, Debug)]
 pub struct ShardConfig {
     /// Worker count.
     pub workers: usize,
-    /// Let idle dispatchers steal from hot sibling queues.
-    pub work_stealing: bool,
     /// Per-worker queue/batch/window/supervision sizing.
     pub worker: ServerConfig,
 }
@@ -80,7 +76,6 @@ impl Default for ShardConfig {
     fn default() -> Self {
         ShardConfig {
             workers: 2,
-            work_stealing: true,
             worker: ServerConfig::default(),
         }
     }
@@ -93,13 +88,6 @@ impl ShardConfig {
         self
     }
 
-    /// Enable or disable work stealing (see the module docs for the
-    /// isolation-versus-utilization trade).
-    pub fn with_work_stealing(mut self, work_stealing: bool) -> Self {
-        self.work_stealing = work_stealing;
-        self
-    }
-
     /// Override the per-worker [`ServerConfig`].
     pub fn with_worker(mut self, worker: ServerConfig) -> Self {
         self.worker = worker;
@@ -108,7 +96,7 @@ impl ShardConfig {
 }
 
 /// N independent serving workers behind a placement front end — see the
-/// [module docs](self) for placement and stealing.
+/// [module docs](self) for placement.
 ///
 /// Submission takes `&self` (any thread); [`shutdown`](Self::shutdown)
 /// or `Drop` drains every worker.
@@ -160,31 +148,15 @@ where
         S: Clone,
     {
         assert!(config.workers > 0, "cluster needs >= 1 worker");
-        let ring = if config.work_stealing && config.workers > 1 {
-            Some(Arc::new(StealRing::new()))
-        } else {
-            None
-        };
-        let workers: Vec<Server<S>> = (0..config.workers)
+        let workers = (0..config.workers)
             .map(|i| {
-                let plan = ring.as_ref().map(|ring| StealPlan {
-                    ring: Arc::clone(ring),
-                    self_idx: i,
-                });
-                Server::spawn(
+                Server::with_controller(
                     Arc::new(service.replica()),
                     config.worker,
                     controller_for(i),
-                    plan,
                 )
             })
             .collect();
-        if let Some(ring) = ring {
-            // Installed only now that every worker exists: dispatchers
-            // spun up above see an empty ring (no stealing) until the
-            // full queue list is in place.
-            ring.install(workers.iter().map(Server::shared_handle).collect());
-        }
         ShardedServer { workers }
     }
 
@@ -358,13 +330,6 @@ impl ClusterStats {
         self.workers.iter().map(|w| w.dispatcher_restarts).sum()
     }
 
-    /// Requests that moved between workers via work stealing (each
-    /// stolen request counts once; per-worker `steals`/`stolen` split
-    /// the thief/victim sides).
-    pub fn requests_stolen(&self) -> u64 {
-        self.workers.iter().map(|w| w.steals).sum()
-    }
-
     /// Workers in the terminal stopped state.
     pub fn workers_stopped(&self) -> usize {
         self.workers.iter().filter(|w| w.stopped).count()
@@ -431,8 +396,8 @@ mod tests {
             max_queue_depth: 8,
             batches_dispatched: 4,
             dispatcher_restarts: 1,
-            steals: 5,
-            stolen: 6,
+            steals: 0,
+            stolen: 0,
             stopped,
             queue_wait_total: Duration::from_millis(10),
             queue_wait_max: p99,
@@ -480,7 +445,6 @@ mod tests {
         assert_eq!(stats.in_flight(), 16);
         assert_eq!(stats.batches_dispatched(), 8);
         assert_eq!(stats.dispatcher_restarts(), 2);
-        assert_eq!(stats.requests_stolen(), 10);
         assert_eq!(stats.workers_stopped(), 1);
         let load = stats.load();
         assert_eq!(load.queue_depth, 6);

@@ -65,14 +65,6 @@ pub(crate) struct Counters {
     pub(crate) shed: AtomicU64,
     pub(crate) batches: AtomicU64,
     pub(crate) dispatcher_restarts: AtomicU64,
-    /// Requests this worker's dispatcher pulled out of a *sibling*
-    /// worker's queue (work stealing; multi-worker deployments only).
-    pub(crate) steals: AtomicU64,
-    /// Requests pulled out of *this* worker's queue by sibling
-    /// dispatchers. The served requests still count toward this worker's
-    /// `completed`/window telemetry (attribution follows the queue of
-    /// origin), so `in_flight` stays consistent.
-    pub(crate) stolen: AtomicU64,
     pub(crate) queue_wait_ns: AtomicU64,
     pub(crate) max_queue_wait_ns: AtomicU64,
     pub(crate) max_queue_depth: AtomicU64,
@@ -96,8 +88,6 @@ impl Counters {
             shed: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             dispatcher_restarts: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            stolen: AtomicU64::new(0),
             queue_wait_ns: AtomicU64::new(0),
             max_queue_wait_ns: AtomicU64::new(0),
             max_queue_depth: AtomicU64::new(0),
@@ -237,8 +227,8 @@ impl Counters {
             max_queue_depth: self.max_queue_depth.load(Ordering::Relaxed),
             batches_dispatched: self.batches.load(Ordering::Relaxed),
             dispatcher_restarts: self.dispatcher_restarts.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
-            stolen: self.stolen.load(Ordering::Relaxed),
+            steals: 0,
+            stolen: 0,
             stopped,
             queue_wait_total: Duration::from_nanos(self.queue_wait_ns.load(Ordering::Relaxed)),
             queue_wait_max: Duration::from_nanos(self.max_queue_wait_ns.load(Ordering::Relaxed)),
@@ -317,13 +307,11 @@ pub struct ServerStats {
     /// Times the supervisor respawned a panicked dispatcher thread
     /// (see [`ServerConfig::max_restarts`](crate::ServerConfig::max_restarts)).
     pub dispatcher_restarts: u64,
-    /// Requests this worker's dispatcher served out of *sibling* workers'
-    /// queues (work stealing; `0` outside multi-worker deployments — see
-    /// [`ShardedServer`](crate::ShardedServer)).
+    /// Always `0`. Every request is served by the worker it was placed
+    /// on (see [`ShardedServer`](crate::ShardedServer)); the field stays
+    /// because `benchmark/`'s telemetry reader still reads it.
     pub steals: u64,
-    /// Requests sibling dispatchers pulled out of *this* worker's queue.
-    /// They still complete against this worker's `completed` and window
-    /// telemetry (attribution follows the queue of origin).
+    /// Always `0`, like [`steals`](Self::steals).
     pub stolen: u64,
     /// True once the supervisor gave up restarting the dispatcher
     /// (restart budget exhausted): the server is terminally stopped,

@@ -1,15 +1,15 @@
 //! Property-based tests for the sharded-serving front end.
 //!
 //! * **Hash affinity preserves answers**: routing a duplicate-heavy zipf
-//!   stream across N replicated workers (stealing on or off) produces
+//!   stream across N replicated workers produces
 //!   responses byte-equivalent to the single-worker batched path — i.e.
 //!   to `serve_at` with the same submitted instant — under clock-free
 //!   policies. Placement must never change *what* a request answers.
-//! * **Work stealing is exactly-once**: across worker panics and
-//!   supervised restarts, every submitted ticket resolves exactly once —
-//!   either with its own request's correct answer or with a cancellation
-//!   error — and the cluster's counters conserve (nothing is double-
-//!   delivered by a thief and its victim, nothing vanishes).
+//! * **Delivery is exactly-once**: across worker panics and supervised
+//!   restarts, every submitted ticket resolves exactly once — either
+//!   with its own request's correct answer or with a cancellation error
+//!   — and the cluster's counters conserve (nothing is double-delivered,
+//!   nothing vanishes).
 
 use std::time::Instant;
 
@@ -154,16 +154,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Routing a duplicate-heavy stream by hash affinity across any
-    /// worker count — with stealing on or off — answers every request
+    /// worker count answers every request
     /// exactly as the single-worker batched path does.
     #[test]
     fn hash_affinity_is_byte_equivalent_to_single_worker(
         codes in prop::collection::vec((0u16..64, 0u8..5), 1..48),
         workers in 1usize..5,
-        steal_code in 0u8..2,
         max_batch_code in 0usize..3,
     ) {
-        let work_stealing = steal_code == 1;
         let max_batch = [1usize, 3, 16][max_batch_code];
         let service = quick_service(|| CountService);
         let single = quick_service(|| CountService);
@@ -171,7 +169,6 @@ proptest! {
             &service,
             ShardConfig::default()
                 .with_workers(workers)
-                .with_work_stealing(work_stealing)
                 .with_worker(
                     ServerConfig::default()
                         .with_max_batch(max_batch)
@@ -197,20 +194,16 @@ proptest! {
         let stats = cluster.shutdown();
         prop_assert_eq!(stats.completed(), codes.len() as u64);
         prop_assert_eq!(stats.shed(), 0u64);
-        // Stolen rounds are accounted symmetrically: every request the
-        // thieves took is a request some victim gave up.
-        let given: u64 = stats.workers.iter().map(|w| w.stolen).sum();
-        prop_assert_eq!(stats.requests_stolen(), given);
     }
 
     /// Poison requests crash dispatchers (in the composer, after the
-    /// fan-out succeeded) while supervisors restart them and idle workers
-    /// steal from the victims' queues. Whatever interleaving results,
+    /// fan-out succeeded) on several workers at once while supervisors
+    /// restart them. Whatever interleaving results,
     /// every ticket resolves exactly once: an `Ok` carries its *own*
     /// request's answer, an `Err` is a cancelled batch — and the counters
     /// conserve.
     #[test]
-    fn stealing_under_panic_storm_delivers_every_ticket_exactly_once(
+    fn panic_storm_across_workers_delivers_every_ticket_exactly_once(
         codes in prop::collection::vec(0u16..64, 4..48),
         poison_stride in 3usize..8,
         workers in 2usize..5,
@@ -221,7 +214,6 @@ proptest! {
             &service,
             ShardConfig::default()
                 .with_workers(workers)
-                .with_work_stealing(true)
                 .with_worker(
                     ServerConfig::default()
                         .with_max_batch(3)
@@ -230,7 +222,8 @@ proptest! {
                 ),
         );
         // Stage the whole stream while paused so queues are deep and
-        // uneven when dispatching starts — the state that provokes steals.
+        // uneven when dispatching starts, and every worker's dispatcher
+        // crashes and restarts concurrently with its siblings.
         cluster.pause();
         let submitted = Instant::now();
         let policy = ExecutionPolicy::Exact;
@@ -271,13 +264,10 @@ proptest! {
 
         let stats = cluster.shutdown();
         // Completions counted by workers are exactly the fulfilled
-        // tickets: a stolen request completes on the thief but is
-        // attributed to its home — summing over workers double-counts
-        // nothing and loses nothing.
+        // tickets: summing over workers double-counts nothing and loses
+        // nothing.
         prop_assert_eq!(stats.completed(), ok);
         prop_assert_eq!(stats.submitted(), reqs.len() as u64);
         prop_assert_eq!(stats.shed(), 0u64);
-        let given: u64 = stats.workers.iter().map(|w| w.stolen).sum();
-        prop_assert_eq!(stats.requests_stolen(), given);
     }
 }

@@ -44,8 +44,8 @@
 //! [`server::ShardedServer`](crate::server::ShardedServer) runs N workers
 //! — each with its own queue, dispatcher, stats, controller, and
 //! supervisor — behind a hash-affinity front end: placing equal requests
-//! on one worker keeps duplicate-collapse locality, work stealing
-//! rebalances skew, and per-worker ladders isolate hot shards.
+//! on one worker keeps duplicate-collapse locality, each worker serves
+//! only its own queue, and per-worker ladders isolate hot shards.
 //!
 //! This facade re-exports the whole workspace:
 //!

@@ -183,19 +183,15 @@ fn dead_worker_fails_over_to_live_siblings() {
     )));
     let service = faulty_service(n_items, &rows, &injectors);
     let reference = plain_service(n_items, &rows);
-    // Stealing off: an idle sibling could otherwise poach the poisoned
-    // request and die in the home worker's stead — the death must land
+    // Every request is served by its hash home, so the death lands
     // deterministically on `home_index(first)` for the assertions below.
     let cluster = ShardedServer::replicated(
         &service,
-        ShardConfig::default()
-            .with_workers(WORKERS)
-            .with_work_stealing(false)
-            .with_worker(
-                ServerConfig::default()
-                    .with_max_batch(1)
-                    .with_max_restarts(0),
-            ),
+        ShardConfig::default().with_workers(WORKERS).with_worker(
+            ServerConfig::default()
+                .with_max_batch(1)
+                .with_max_restarts(0),
+        ),
     );
 
     let policy = ExecutionPolicy::budgeted(2);

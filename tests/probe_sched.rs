@@ -1,7 +1,7 @@
 //! Deterministic schedule exploration of the control-plane protocols
 //! (ISSUE 9, dynamic side; see ANALYSIS.md "Concurrency contracts").
 //!
-//! The serving stack's dispatcher/steal/supervisor protocols are
+//! The serving stack's dispatcher/supervisor protocols are
 //! modeled at small configurations on `at-sched` shims and every
 //! interleaving of their synchronization operations is enumerated
 //! (DFS, optionally preemption-bounded). Each clean protocol asserts a
@@ -12,9 +12,8 @@
 //! classes the static rules exist to prevent.
 //!
 //! Models mirror `at-server`'s shapes, not its code: a bounded queue
-//! drained under a Condvar with a stop flag (dispatch_loop), steal-ring
-//! drain-under-one-guard ticket handoff (try_steal), and the
-//! restart-budget supervisor (supervise). A fourth model mirrors the
+//! drained under a Condvar with a stop flag (dispatch_loop) and the
+//! restart-budget supervisor (supervise). A third model mirrors the
 //! vendored rayon shim's persistent fan-out pool (publish, claim,
 //! complete, wait), with a third positive control of its own: a caller
 //! that returns without waiting for its helpers.
@@ -104,59 +103,6 @@ fn bounded_queue_submit_drain_no_lost_wakeup() {
     assert!(
         report.schedules >= 100,
         "exploration shrank to {} interleavings — not a meaningful check",
-        report.schedules
-    );
-    assert!(!report.capped, "exploration hit the schedule cap");
-}
-
-/// Steal-ring ticket delivery: a victim drains its own queue one
-/// ticket at a time while a thief steals with the sanctioned
-/// drain-under-one-guard idiom. Every ticket must be resolved exactly
-/// once in every interleaving.
-#[test]
-fn steal_ring_delivers_each_ticket_exactly_once() {
-    const TICKETS: usize = 4;
-    let report = Explorer::new().explore(|sched| {
-        let queue = sched.mutex((0..TICKETS as u32).collect::<Vec<u32>>());
-        let resolved = sched.mutex(vec![0u32; TICKETS]);
-        {
-            let (queue, resolved) = (queue.clone(), resolved.clone());
-            sched.thread(move || loop {
-                let mut q = queue.lock();
-                let Some(ticket) = q.pop() else { break };
-                drop(q);
-                let mut r = resolved.lock();
-                if let Some(count) = r.get_mut(ticket as usize) {
-                    *count += 1;
-                }
-            });
-        }
-        {
-            let (queue, resolved) = (queue.clone(), resolved.clone());
-            sched.thread(move || {
-                let mut q = queue.lock();
-                let stolen: Vec<u32> = q.drain(..).collect();
-                drop(q);
-                for ticket in stolen {
-                    let mut r = resolved.lock();
-                    if let Some(count) = r.get_mut(ticket as usize) {
-                        *count += 1;
-                    }
-                }
-            });
-        }
-        let resolved = resolved.clone();
-        sched.check(move || {
-            let r = resolved.lock();
-            for (ticket, &count) in r.iter().enumerate() {
-                assert_eq!(count, 1, "ticket {ticket} resolved {count} times");
-            }
-        });
-    });
-    report.assert_ok();
-    assert!(
-        report.schedules >= 100,
-        "exploration shrank to {} interleavings",
         report.schedules
     );
     assert!(!report.capped, "exploration hit the schedule cap");

@@ -1,8 +1,8 @@
 //! Property-based tests for the sharded-serving front end.
 //!
 //! * **Hash affinity preserves answers**: routing a duplicate-heavy zipf
-//!   stream across N replicated workers produces
-//!   responses byte-equivalent to the single-worker batched path — i.e.
+//!   stream across N replicated workers produces responses
+//!   byte-equivalent to the single-worker batched path — i.e.
 //!   to `serve_at` with the same submitted instant — under clock-free
 //!   policies. Placement must never change *what* a request answers.
 //! * **Delivery is exactly-once**: across worker panics and supervised
@@ -154,8 +154,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Routing a duplicate-heavy stream by hash affinity across any
-    /// worker count answers every request
-    /// exactly as the single-worker batched path does.
+    /// worker count answers every request exactly as the single-worker
+    /// batched path does.
     #[test]
     fn hash_affinity_is_byte_equivalent_to_single_worker(
         codes in prop::collection::vec((0u16..64, 0u8..5), 1..48),
@@ -222,8 +222,8 @@ proptest! {
                 ),
         );
         // Stage the whole stream while paused so queues are deep and
-        // uneven when dispatching starts, and every worker's dispatcher
-        // crashes and restarts concurrently with its siblings.
+        // uneven when dispatching starts, and crashes on different
+        // workers overlap.
         cluster.pause();
         let submitted = Instant::now();
         let policy = ExecutionPolicy::Exact;

@@ -27,7 +27,9 @@ pub mod stats;
 pub mod svd;
 pub mod vector;
 
-pub use blocked::{for_each_common_slot, pearson_on_common_blocked, BlockedRow, BlockedSet, LANES};
+pub use blocked::{
+    for_each_target_slot, pearson_on_common_indexed, BlockedRow, IndexedRow, IndexedSet, LANES,
+};
 pub use matrix::Matrix;
 pub use pearson::{pearson, pearson_on_common, pearson_on_common_alloc, WelfordPair};
 pub use sparse::{SparseMatrix, SparseMatrixBuilder};

@@ -2,8 +2,8 @@
 
 use at_linalg::stats::{mean, percentile, variance, Percentiles, StreamingStats};
 use at_linalg::{
-    for_each_common_slot, pearson, pearson_on_common, pearson_on_common_alloc,
-    pearson_on_common_blocked, BlockedRow, BlockedSet,
+    for_each_target_slot, pearson, pearson_on_common, pearson_on_common_alloc,
+    pearson_on_common_indexed, BlockedRow, IndexedRow, IndexedSet,
 };
 use proptest::prelude::*;
 
@@ -143,12 +143,17 @@ proptest! {
     // Every vectorized variant must be *bit*-identical (`to_bits`) to the
     // allocating oracle, which the streaming kernel is itself pinned to.
     // Column gaps of 1..6 walk intersections across 8-wide block boundaries
-    // at every alignment; `zero_var_a` forces constant (zero-variance) rows
-    // and `nan_at` injects a NaN score to pin NaN propagation.
+    // at every alignment; a one-sided tail runs either row past the other's
+    // last block (the indexed walk's early stop); `empty_a` empties the
+    // indexed side; `zero_var_a` forces constant (zero-variance) rows and
+    // `nan_at` injects a NaN score to pin NaN propagation.
 
     #[test]
     fn blocked_and_lane_kernels_bit_match_oracle(
         entries in prop::collection::vec((0u32..2, 0u32..2, 1u32..6, 0.5f64..5.0, 0.5f64..5.0), 0..120),
+        tail in prop::collection::vec((1u32..20, 0.5f64..5.0), 0..12),
+        tail_on_a in 0u32..2,
+        empty_a in 0u32..8,
         zero_var_a in 0u32..2,
         // Indices >= 120 never match an entry, so half the draws inject no NaN.
         nan_at in 0usize..240,
@@ -171,12 +176,22 @@ proptest! {
                 vb.push(y);
             }
         }
-        let a = BlockedRow::from_sorted(&ca, &va);
+        for &(gap, v) in &tail {
+            col += gap;
+            let (c, vs) = if tail_on_a == 1 { (&mut ca, &mut va) } else { (&mut cb, &mut vb) };
+            c.push(col);
+            vs.push(if zero_var_a == 1 && tail_on_a == 1 { 2.5 } else { v });
+        }
+        if empty_a == 0 {
+            ca.clear();
+            va.clear();
+        }
+        let a = IndexedRow::from_sorted(&ca, &va);
         let b = BlockedRow::from_sorted(&cb, &vb);
         let (w_oracle, n_oracle) = pearson_on_common_alloc(&ca, &va, &cb, &vb);
         let variants = [
             ("streaming", pearson_on_common(&ca, &va, &cb, &vb)),
-            ("blocked", pearson_on_common_blocked(&a, &b)),
+            ("indexed", pearson_on_common_indexed(&a, &b)),
         ];
         for (name, (w, n)) in variants {
             prop_assert_eq!(n, n_oracle, "{}: common count", name);
@@ -189,17 +204,22 @@ proptest! {
     fn empty_and_disjoint_intersections_are_exactly_zero(
         cols_a in prop::collection::vec(1u32..6, 0..40),
         cols_b in prop::collection::vec(1u32..6, 0..40),
+        // Shifts one side by whole blocks, so either can start past the
+        // other's last block.
+        shift in 0u32..24,
+        shift_a in 0u32..2,
     ) {
         // Make the rows provably disjoint: evens for `a`, odds for `b`.
+        let (sa, sb) = if shift_a == 1 { (shift * 8, 0) } else { (0, shift * 8) };
         let mut col = 0u32;
-        let ca: Vec<u32> = cols_a.iter().map(|&g| { col += g; col * 2 }).collect();
+        let ca: Vec<u32> = cols_a.iter().map(|&g| { col += g; col * 2 + sa }).collect();
         let mut col = 0u32;
-        let cb: Vec<u32> = cols_b.iter().map(|&g| { col += g; col * 2 + 1 }).collect();
+        let cb: Vec<u32> = cols_b.iter().map(|&g| { col += g; col * 2 + 1 + sb }).collect();
         let va = vec![1.5; ca.len()];
         let vb = vec![2.5; cb.len()];
-        let a = BlockedRow::from_sorted(&ca, &va);
+        let a = IndexedRow::from_sorted(&ca, &va);
         let b = BlockedRow::from_sorted(&cb, &vb);
-        let (w, n) = pearson_on_common_blocked(&a, &b);
+        let (w, n) = pearson_on_common_indexed(&a, &b);
         prop_assert_eq!(n, 0);
         prop_assert_eq!(w.to_bits(), 0.0f64.to_bits());
     }
@@ -227,6 +247,8 @@ proptest! {
     #[test]
     fn common_slot_merge_matches_two_pointer_reference(
         entries in prop::collection::vec((0u32..2, 0u32..2, 1u32..6, -10.0f64..10.0), 0..100),
+        tail in prop::collection::vec((1u32..20, -10.0f64..10.0), 0..12),
+        tail_on_row in 0u32..2,
     ) {
         let mut col = 0u32;
         let (mut cr, mut vr) = (Vec::new(), Vec::new());
@@ -241,8 +263,18 @@ proptest! {
                 ct.push(col);
             }
         }
+        // Run one side past the other's last block.
+        for &(gap, v) in &tail {
+            col += gap;
+            if tail_on_row == 1 {
+                cr.push(col);
+                vr.push(v);
+            } else {
+                ct.push(col);
+            }
+        }
         let row = BlockedRow::from_sorted(&cr, &vr);
-        let set = BlockedSet::from_sorted(&ct);
+        let set = IndexedSet::from_sorted(&ct);
         // Reference: classic two-pointer merge over the sorted CSR views.
         let mut want: Vec<(usize, u64)> = Vec::new();
         let (mut i, mut j) = (0, 0);
@@ -258,7 +290,7 @@ proptest! {
             }
         }
         let mut got: Vec<(usize, u64)> = Vec::new();
-        for_each_common_slot(&row, &set, |slot, v| got.push((slot, v.to_bits())));
+        for_each_target_slot(&row, &set, |slot, v| got.push((slot, v.to_bits())));
         prop_assert_eq!(got, want);
     }
 }

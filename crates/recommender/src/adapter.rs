@@ -15,7 +15,7 @@ use at_core::{ApproximateService, ComposableService, Correlation, Ctx};
 use at_linalg::BlockedRow;
 use at_rtree::NodeId;
 
-use crate::predict::{accumulate_neighbor_blocked, user_weight_blocked, PredictionAcc};
+use crate::predict::{accumulate_neighbor_indexed, user_weight_indexed, PredictionAcc};
 use crate::ratings::ActiveUser;
 
 /// The user-based CF service, AccuracyTrader-enabled.
@@ -24,11 +24,14 @@ use crate::ratings::ActiveUser;
 /// once** (it serves both as the correlation estimate and the prediction
 /// weight) and reads neighbour means from the stores' cached
 /// [`at_linalg::RowStats`] — no per-neighbour allocation or value rescans.
-/// Both kernels run block-aligned ([`user_weight_blocked`] /
-/// [`accumulate_neighbor_blocked`]), so the service's stored layout is
-/// [`BlockedRow`]: the stores and the request hold their rows in it and
-/// nowhere else. The kernels are bit-identical to the scalar merges, so the
-/// layout is purely a perf decision.
+/// Both kernels run block-aligned ([`user_weight_indexed`] /
+/// [`accumulate_neighbor_indexed`]): the service's stored layout is
+/// [`BlockedRow`], which the stores hold their rows in and nowhere else,
+/// and the request keeps its profile and targets indexed by block id, so
+/// every stage-1, `improve`, exact and analysis call walks only the
+/// neighbour's occupied blocks and looks the active side up by id. The
+/// kernels are bit-identical to the scalar merges, so the layout is purely
+/// a perf decision.
 ///
 /// Batch-aware: `process_synopsis_batch` makes **one** pass over the
 /// synopsis shared by every request of a batch (aggregated users outer,
@@ -59,13 +62,13 @@ fn synopsis_step(
 ) {
     // One weight per aggregated user: it is both the correlation
     // estimate c_i and the prediction weight.
-    let (w, _) = user_weight_blocked(req.profile(), &p.info);
+    let (w, _) = user_weight_indexed(req.profile(), &p.info);
     corr.push(Correlation {
         node: p.node,
         score: w.abs(),
     });
-    accumulate_neighbor_blocked(
-        req.targets_blocked(),
+    accumulate_neighbor_indexed(
+        req.target_set(),
         &p.info,
         w,
         stats.mean(),
@@ -160,9 +163,9 @@ impl ApproximateService for CfService {
     ) {
         // Back out the aggregated user's estimated contribution...
         if let Some((p, stats)) = ctx.store.synopsis().point_with_stats(node) {
-            let (w, _) = user_weight_blocked(req.profile(), &p.info);
-            accumulate_neighbor_blocked(
-                req.targets_blocked(),
+            let (w, _) = user_weight_indexed(req.profile(), &p.info);
+            accumulate_neighbor_indexed(
+                req.target_set(),
                 &p.info,
                 w,
                 stats.mean(),
@@ -173,9 +176,9 @@ impl ApproximateService for CfService {
         // ...and put in the exact contributions of its original users.
         for &m in members {
             let rb = ctx.dataset.row(m);
-            let (w, _) = user_weight_blocked(req.profile(), rb);
-            accumulate_neighbor_blocked(
-                req.targets_blocked(),
+            let (w, _) = user_weight_indexed(req.profile(), rb);
+            accumulate_neighbor_indexed(
+                req.target_set(),
                 rb,
                 w,
                 ctx.dataset.row_stats(m).mean(),
@@ -189,9 +192,9 @@ impl ApproximateService for CfService {
         let mut acc = vec![PredictionAcc::default(); req.targets.len()];
         for id in ctx.dataset.ids() {
             let rb = ctx.dataset.row(id);
-            let (w, _) = user_weight_blocked(req.profile(), rb);
-            accumulate_neighbor_blocked(
-                req.targets_blocked(),
+            let (w, _) = user_weight_indexed(req.profile(), rb);
+            accumulate_neighbor_indexed(
+                req.target_set(),
                 rb,
                 w,
                 ctx.dataset.row_stats(id).mean(),
@@ -244,7 +247,7 @@ pub fn section_relatedness(
             for c in *sec {
                 let members = ctx.store.index().members(c.node).expect("indexed node");
                 for &m in members {
-                    let (w, _) = user_weight_blocked(req.profile(), ctx.dataset.row(m));
+                    let (w, _) = user_weight_indexed(req.profile(), ctx.dataset.row(m));
                     if w.abs() > threshold {
                         related += 1;
                     }

@@ -7,7 +7,9 @@
 //! from the CF survey the paper cites.
 
 use at_linalg::pearson::pearson_on_common;
-use at_linalg::{for_each_common_slot, pearson_on_common_blocked, BlockedRow, BlockedSet};
+use at_linalg::{
+    for_each_target_slot, pearson_on_common_indexed, BlockedRow, IndexedRow, IndexedSet,
+};
 use at_synopsis::{Row, SparseRow};
 
 use crate::ratings::ActiveUser;
@@ -55,14 +57,15 @@ pub fn user_weight(active: &SparseRow, neighbor: &SparseRow) -> (f64, usize) {
     }
 }
 
-/// Block-aligned [`user_weight`] over blocked rows: the serving-path
-/// variant (profile from [`ActiveUser::profile`], neighbour straight out of
-/// the blocked `RowStore`/`Synopsis`). **Bit-identical** to
-/// [`user_weight`] — the blocked kernel folds the same intersection through
-/// the same Welford recurrence in the same order, only the intersection
-/// *discovery* is block-parallel.
-pub fn user_weight_blocked(active: &BlockedRow, neighbor: &BlockedRow) -> (f64, usize) {
-    let (w, common) = pearson_on_common_blocked(active, neighbor);
+/// Block-id-indexed [`user_weight`]: the serving-path variant (profile
+/// from [`ActiveUser::profile`], neighbour straight out of the blocked
+/// `RowStore`/`Synopsis`). Walks the neighbour's occupied blocks and looks
+/// each up in the profile by id. **Bit-identical** to [`user_weight`] —
+/// the kernel folds the same intersection through the same Welford
+/// recurrence in the same order; only the intersection *discovery* is
+/// block-parallel.
+pub fn user_weight_indexed(active: &IndexedRow, neighbor: &BlockedRow) -> (f64, usize) {
+    let (w, common) = pearson_on_common_indexed(active, neighbor);
     if common < MIN_COMMON_ITEMS {
         (0.0, common)
     } else {
@@ -121,17 +124,17 @@ pub fn accumulate_neighbor(
     }
 }
 
-/// Block-aligned [`accumulate_neighbor`]: the neighbour's blocked row is
-/// merged against the active user's cached blocked target set
-/// ([`ActiveUser::targets_blocked`]), finding each co-occupied block with
-/// one mask AND and recovering the accumulator slot by branch-free rank
-/// instead of a per-column compare loop.
+/// Block-id-indexed [`accumulate_neighbor`]: the neighbour's blocked row
+/// is walked once, each block finds the active user's cached target block
+/// by id ([`ActiveUser::target_set`]), one mask AND picks the targets it
+/// rated, and the accumulator slot comes from a branch-free rank instead
+/// of a per-column compare loop.
 ///
 /// **Bit-identical** to the scalar merge: matches arrive in the same
 /// ascending column order and the per-match arithmetic is the exact
 /// expression of [`accumulate_neighbor`], unreassociated.
-pub fn accumulate_neighbor_blocked(
-    targets: &BlockedSet,
+pub fn accumulate_neighbor_indexed(
+    targets: &IndexedSet,
     neighbor: &BlockedRow,
     weight: f64,
     neighbor_mean: f64,
@@ -142,7 +145,7 @@ pub fn accumulate_neighbor_blocked(
     if weight == 0.0 {
         return;
     }
-    for_each_common_slot(neighbor, targets, |t, v| {
+    for_each_target_slot(neighbor, targets, |t, v| {
         let a = &mut acc[t];
         a.num += weight * (v - neighbor_mean) * multiplier;
         a.den += weight.abs() * multiplier;
@@ -271,12 +274,8 @@ mod tests {
     }
 
     #[test]
-    fn blocked_kernels_are_bit_identical_to_scalar() {
-        let active = ActiveUser::new(
-            row(vec![(0, 5.0), (1, 1.0), (2, 3.0), (8, 2.0), (17, 4.0)]),
-            vec![3, 5, 7, 9, 16, 24],
-        );
-        let n = row(vec![
+    fn indexed_kernels_are_bit_identical_to_scalar() {
+        let neighbor = row(vec![
             (0, 4.0),
             (1, 2.0),
             (4, 1.0),
@@ -286,19 +285,39 @@ mod tests {
             (16, 1.0),
             (17, 2.0),
         ]);
-        let nb = BlockedRow::from_sorted(&n.cols, &n.vals);
-        let (ws, cs) = user_weight(&active.profile().decode(), &n);
-        let (wb, cb) = user_weight_blocked(active.profile(), &nb);
-        assert_eq!(cs, cb);
-        assert_eq!(ws.to_bits(), wb.to_bits());
-        let mean = at_linalg::RowStats::of(&n.vals).mean();
-        let mut scalar = vec![PredictionAcc::default(); active.targets.len()];
-        accumulate_neighbor(&active, &n, ws, mean, 2.0, &mut scalar);
-        let mut blocked = vec![PredictionAcc::default(); active.targets.len()];
-        accumulate_neighbor_blocked(active.targets_blocked(), &nb, wb, mean, 2.0, &mut blocked);
-        for (s, b) in scalar.iter().zip(&blocked) {
-            assert_eq!(s.num.to_bits(), b.num.to_bits());
-            assert_eq!(s.den.to_bits(), b.den.to_bits());
+        // The profile ends before, inside and after the neighbour's last
+        // block, or is empty; the targets do the same.
+        let profiles = [
+            vec![(0, 5.0), (1, 1.0), (2, 3.0), (8, 2.0), (17, 4.0)],
+            vec![(0, 5.0), (1, 1.0), (5, 3.0)],
+            vec![(1, 2.0), (9, 4.0), (17, 1.0), (40, 5.0)],
+            vec![],
+        ];
+        let target_lists = [
+            vec![3, 5, 7, 9, 16, 24],
+            vec![1, 4],
+            vec![],
+            vec![8, 17, 63],
+        ];
+        let nb = BlockedRow::from_sorted(&neighbor.cols, &neighbor.vals);
+        let mean = at_linalg::RowStats::of(&neighbor.vals).mean();
+        for (profile, targets) in profiles.iter().zip(&target_lists) {
+            let active = ActiveUser::new(row(profile.clone()), targets.clone());
+            let (ws, cs) = user_weight(&active.profile().decode(), &neighbor);
+            let (wi, ci) = user_weight_indexed(active.profile(), &nb);
+            assert_eq!(cs, ci);
+            assert_eq!(ws.to_bits(), wi.to_bits());
+            // A nonzero weight even when the profile gives none, so the
+            // target fold always runs.
+            let w = if ws == 0.0 { 0.75 } else { ws };
+            let mut scalar = vec![PredictionAcc::default(); active.targets.len()];
+            accumulate_neighbor(&active, &neighbor, w, mean, 2.0, &mut scalar);
+            let mut indexed = vec![PredictionAcc::default(); active.targets.len()];
+            accumulate_neighbor_indexed(active.target_set(), &nb, w, mean, 2.0, &mut indexed);
+            for (s, i) in scalar.iter().zip(&indexed) {
+                assert_eq!(s.num.to_bits(), i.num.to_bits());
+                assert_eq!(s.den.to_bits(), i.den.to_bits());
+            }
         }
     }
 

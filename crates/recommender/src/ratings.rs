@@ -2,7 +2,7 @@
 //! synopsis pipeline and CF algorithm consume.
 
 use at_core::{Fnv1a, RouteKey};
-use at_linalg::{BlockedRow, BlockedSet, RowStats};
+use at_linalg::{IndexedRow, IndexedSet, RowStats};
 use at_synopsis::{Row, RowStore, SparseRow};
 use at_workloads::Rating;
 
@@ -30,18 +30,21 @@ pub fn rating_matrix(n_users: usize, n_items: usize, ratings: &[Rating]) -> RowS
 /// of them. The batched serving path uses both to collapse duplicate
 /// requests in one batch.
 ///
-/// The profile is stored once, in the blocked form the serving kernels read
-/// (encoded at [`new`](ActiveUser::new) — request construction, off the
-/// warm path); [`Row::decode`] gives the interchange form back for cold
-/// paths. The blocked target set stays private: every construction goes
-/// through `new`, which keeps it in sync with the public `targets`.
+/// The profile and the target set are each stored once, in the
+/// block-id-indexed form the serving kernels read ([`IndexedRow`],
+/// [`IndexedSet`]; encoded at [`new`](ActiveUser::new) — request
+/// construction, off the warm path). A kernel walks a neighbour's stored
+/// blocks and finds the active side's block by id. [`Row::decode`] gives
+/// the interchange form of the profile back for cold paths. The target set
+/// stays private: every construction goes through `new`, which keeps it in
+/// sync with the public `targets`.
 #[derive(Clone, Debug)]
 pub struct ActiveUser {
     /// Items to predict, sorted ascending.
     pub targets: Vec<u32>,
-    profile: BlockedRow,
+    profile: IndexedRow,
     profile_stats: RowStats,
-    blocked_targets: BlockedSet,
+    target_set: IndexedSet,
 }
 
 impl PartialEq for ActiveUser {
@@ -52,7 +55,8 @@ impl PartialEq for ActiveUser {
 
 impl ActiveUser {
     /// Build a request from the user's known ratings (item → rating) and
-    /// the items to predict; sorts and dedups targets.
+    /// the items to predict; sorts and dedups targets. Every array is sized
+    /// exactly: a request pool carries no growth slack.
     ///
     /// # Panics
     /// Panics if `profile.cols` is not strictly ascending or differs in
@@ -60,23 +64,24 @@ impl ActiveUser {
     pub fn new(profile: SparseRow, mut targets: Vec<u32>) -> Self {
         targets.sort_unstable();
         targets.dedup();
-        let blocked_targets = BlockedSet::from_sorted(&targets);
+        targets.shrink_to_fit();
+        let target_set = IndexedSet::from_sorted(&targets);
         ActiveUser {
             targets,
             profile_stats: RowStats::of(&profile.vals),
-            profile: BlockedRow::encode(profile),
-            blocked_targets,
+            profile: IndexedRow::encode(profile),
+            target_set,
         }
     }
 
     /// The active user's profile (item → rating) as stored.
-    pub fn profile(&self) -> &BlockedRow {
+    pub fn profile(&self) -> &IndexedRow {
         &self.profile
     }
 
-    /// Cached blocked membership/rank set over `targets`.
-    pub fn targets_blocked(&self) -> &BlockedSet {
-        &self.blocked_targets
+    /// Cached block-id-indexed membership/rank set over `targets`.
+    pub fn target_set(&self) -> &IndexedSet {
+        &self.target_set
     }
 
     /// The user's mean rating (fallback prediction); 3.0 for empty profiles
@@ -161,6 +166,35 @@ mod tests {
         );
         assert_eq!(u.targets, vec![1, 3]);
         assert_eq!(u.mean_rating(), 3.0);
+    }
+
+    #[test]
+    fn active_user_arrays_are_sized_exactly() {
+        // Duplicate targets leave dedup slack; the last rated item (37)
+        // sits in block 4, so the profile indexes blocks 0..=4.
+        let u = ActiveUser::new(
+            SparseRow::from_pairs(vec![(3, 4.0), (37, 2.0)]),
+            vec![21, 2, 21, 2, 9],
+        );
+        assert_eq!(u.targets, vec![2, 9, 21]);
+        assert_eq!(u.targets.capacity(), 3);
+        assert_eq!(u.profile().num_blocks(), 5);
+        assert_eq!(u.target_set().num_blocks(), 3);
+        assert_eq!(u.target_set().len(), 3);
+        assert_eq!(
+            u.profile().decode(),
+            SparseRow::from_pairs(vec![(3, 4.0), (37, 2.0)])
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn unsorted_profile_panics() {
+        let profile = SparseRow {
+            cols: vec![5, 2],
+            vals: vec![1.0, 2.0],
+        };
+        ActiveUser::new(profile, vec![0]);
     }
 
     #[test]

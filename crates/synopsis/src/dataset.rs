@@ -15,7 +15,7 @@
 //! whatever the stored layout is.
 
 use at_linalg::sparse::{SparseMatrix, SparseMatrixBuilder};
-use at_linalg::{BlockedRow, RowStats};
+use at_linalg::{BlockedRow, IndexedRow, RowStats};
 
 /// How a group of original rows is folded into one aggregated data point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -128,6 +128,24 @@ impl Row for BlockedRow {
 
     fn for_each(&self, f: impl FnMut(u32, f64)) {
         BlockedRow::for_each(self, f);
+    }
+}
+
+/// The recommender's active-user form. No store keeps rows in it (its
+/// size follows the last column); it is a `Row` so a request's profile
+/// decodes and visits like any stored row.
+impl Row for IndexedRow {
+    fn encode(row: SparseRow) -> Self {
+        IndexedRow::from_sorted(&row.cols, &row.vals)
+    }
+
+    fn decode(&self) -> SparseRow {
+        let (cols, vals) = self.to_sorted();
+        SparseRow { cols, vals }
+    }
+
+    fn for_each(&self, f: impl FnMut(u32, f64)) {
+        IndexedRow::for_each(self, f);
     }
 }
 

@@ -120,10 +120,15 @@ impl ApproximateService for SearchService {
         out: &mut Self::Output,
     ) {
         out.reset(self.k);
-        corr.reserve(ctx.store.synopsis().len());
-        corr.extend(ctx.store.synopsis().iter().map(|p| Correlation {
-            node: p.node,
-            score: self.index.score_row(p.info.iter(), &req.terms),
+        let points = ctx.store.synopsis().points_with_stats();
+        corr.reserve(points.len());
+        corr.extend(points.iter().map(|(p, s)| {
+            Correlation {
+                node: p.node,
+                score: self
+                    .index
+                    .score_query(&p.info.cols, &p.info.vals, s.sum, &req.terms),
+            }
         }));
     }
 
@@ -155,11 +160,16 @@ impl ApproximateService for SearchService {
         let mut start = 0usize;
         while start < reqs.len() {
             let end = (start + tile).min(reqs.len());
-            for (p, _) in points {
+            for (p, s) in points {
                 for (req, corr) in reqs[start..end].iter().zip(corrs[start..end].iter_mut()) {
                     corr.push(Correlation {
                         node: p.node,
-                        score: self.index.score_row(p.info.iter(), &req.terms),
+                        score: self.index.score_query(
+                            &p.info.cols,
+                            &p.info.vals,
+                            s.sum,
+                            &req.terms,
+                        ),
                     });
                 }
             }

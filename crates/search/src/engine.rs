@@ -12,16 +12,22 @@ pub fn search_exact(index: &InvertedIndex, terms: &[u32], k: usize) -> TopK {
         terms.windows(2).all(|w| w[0] < w[1]),
         "terms must be sorted"
     );
-    // Accumulate scores doc-at-a-time over the union of posting lists.
-    let mut scores: std::collections::HashMap<u64, f64> = std::collections::HashMap::new();
+    // Sum each document's contributions in term order into a dense
+    // per-document buffer; `None` marks a document no query term's
+    // posting list holds, so exactly the matched documents are pushed.
+    let mut scores: Vec<Option<f64>> = vec![None; index.n_docs()];
     for &t in terms {
-        for &(doc, tf) in index.postings(t) {
-            *scores.entry(doc).or_insert(0.0) += index.tf_idf(tf, t);
+        for (doc, tf) in index.postings(t) {
+            let slot = &mut scores[doc as usize];
+            *slot = Some(slot.unwrap_or(0.0) + index.tf_idf(tf, t));
         }
     }
     let mut top = TopK::new(k);
-    for (doc, raw) in scores {
-        top.push(doc, raw / index.doc_norm(doc));
+    for (doc, raw) in scores.into_iter().enumerate() {
+        if let Some(raw) = raw {
+            let doc = doc as u64;
+            top.push(doc, raw / index.doc_norm(doc));
+        }
     }
     top
 }

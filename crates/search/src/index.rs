@@ -1,10 +1,13 @@
 //! The inverted index — the search engine's offline artifact (§3.2: "the
 //! web crawler crawls the web pages and builds the inverted index").
 //!
-//! Postings are term → `(doc, tf)` lists; document norms are precomputed
-//! for length normalization. The index serves the *exact* processing path;
-//! the synopsis path scores merged aggregated pages with the same statistics
-//! so correlation estimates are on the same scale as real scores.
+//! Postings are term → `(doc, tf)` lists, stored as one CSR per component;
+//! idf per term and document norms are precomputed at build. The index
+//! serves the *exact* processing path; the synopsis path scores merged
+//! aggregated pages with the same statistics so correlation estimates are
+//! on the same scale as real scores.
+
+use std::ops::Range;
 
 use at_synopsis::RowStore;
 
@@ -12,29 +15,84 @@ use at_synopsis::RowStore;
 #[derive(Clone, Debug)]
 pub struct InvertedIndex {
     n_docs: usize,
-    /// postings[term] = (doc, term frequency), doc ascending.
-    postings: Vec<Vec<(u64, f64)>>,
+    /// CSR row pointers: term `t`'s postings are
+    /// `docs[offsets[t]..offsets[t + 1]]` / `counts[..]`, doc ascending.
+    offsets: Vec<u32>,
+    /// Posting doc ids.
+    docs: Vec<u32>,
+    /// Posting term frequencies; whole numbers, so `f64::from` is exact.
+    counts: Vec<u32>,
+    /// Per-term `ln(1 + N / df)`; 0 for unseen terms.
+    idf: Vec<f64>,
     /// Per-document length norm: sqrt(total term occurrences).
     doc_norm: Vec<f64>,
 }
 
+/// A stored term count as a `u32`. Term frequencies are whole numbers;
+/// anything else would not survive the CSR's integer counts bit for bit.
+fn whole_count(c: f64) -> u32 {
+    assert!(
+        c >= 0.0 && c.fract() == 0.0 && c <= f64::from(u32::MAX),
+        "InvertedIndex::build: term count {c} is not a whole number in u32 range"
+    );
+    c as u32
+}
+
 impl InvertedIndex {
     /// Build from a page store (rows = pages, cols = terms, vals = counts).
+    ///
+    /// # Panics
+    /// If a count is not a whole number in `u32` range, or the component
+    /// holds more than `u32::MAX` pages or postings.
     pub fn build(pages: &RowStore) -> Self {
-        let mut postings: Vec<Vec<(u64, f64)>> = vec![Vec::new(); pages.feature_dim()];
-        let mut doc_norm = Vec::with_capacity(pages.len());
+        let vocab = pages.feature_dim();
+        let n_docs = pages.len();
+        assert!(
+            u32::try_from(n_docs).is_ok(),
+            "InvertedIndex::build: more than u32::MAX pages"
+        );
+        // Pass 1: document frequencies, then their prefix sums.
+        let mut offsets = vec![0u32; vocab + 1];
         for id in pages.ids() {
-            let row = pages.row(id);
+            for (t, _) in pages.row(id).iter() {
+                offsets[t as usize + 1] += 1;
+            }
+        }
+        for t in 0..vocab {
+            offsets[t + 1] = offsets[t]
+                .checked_add(offsets[t + 1])
+                .expect("InvertedIndex::build: more than u32::MAX postings");
+        }
+        let idf = offsets
+            .windows(2)
+            .map(|w| match w[1] - w[0] {
+                0 => 0.0,
+                df => (1.0 + n_docs as f64 / df as f64).ln(),
+            })
+            .collect();
+        // Pass 2: fill each term's slots in doc order.
+        let nnz = offsets[vocab] as usize;
+        let mut docs = vec![0u32; nnz];
+        let mut counts = vec![0u32; nnz];
+        let mut next = offsets[..vocab].to_vec();
+        let mut doc_norm = Vec::with_capacity(n_docs);
+        for id in pages.ids() {
             let mut len = 0.0;
-            for (t, c) in row.iter() {
-                postings[t as usize].push((id, c));
+            for (t, c) in pages.row(id).iter() {
+                let slot = &mut next[t as usize];
+                docs[*slot as usize] = id as u32;
+                counts[*slot as usize] = whole_count(c);
+                *slot += 1;
                 len += c;
             }
             doc_norm.push(len.sqrt().max(1.0));
         }
         InvertedIndex {
-            n_docs: pages.len(),
-            postings,
+            n_docs,
+            offsets,
+            docs,
+            counts,
+            idf,
             doc_norm,
         }
     }
@@ -44,24 +102,32 @@ impl InvertedIndex {
         self.n_docs
     }
 
+    /// `term`'s slots in `docs` / `counts`; empty for unseen terms.
+    fn span(&self, term: u32) -> Range<usize> {
+        let t = term as usize;
+        match (self.offsets.get(t), self.offsets.get(t + 1)) {
+            (Some(&a), Some(&b)) => a as usize..b as usize,
+            _ => 0..0,
+        }
+    }
+
     /// Document frequency of `term`.
     pub fn df(&self, term: u32) -> usize {
-        self.postings.get(term as usize).map_or(0, |p| p.len())
+        self.span(term).len()
     }
 
     /// Inverse document frequency: `ln(1 + N / df)`; 0 for unseen terms.
     pub fn idf(&self, term: u32) -> f64 {
-        let df = self.df(term);
-        if df == 0 {
-            0.0
-        } else {
-            (1.0 + self.n_docs as f64 / df as f64).ln()
-        }
+        self.idf.get(term as usize).copied().unwrap_or(0.0)
     }
 
-    /// Posting list of `term` (doc ascending).
-    pub fn postings(&self, term: u32) -> &[(u64, f64)] {
-        self.postings.get(term as usize).map_or(&[], Vec::as_slice)
+    /// Posting list of `term` as `(doc, tf)` pairs, doc ascending.
+    pub fn postings(&self, term: u32) -> impl ExactSizeIterator<Item = (u64, f64)> + '_ {
+        let span = self.span(term);
+        self.docs[span.clone()]
+            .iter()
+            .zip(&self.counts[span])
+            .map(|(&doc, &tf)| (u64::from(doc), f64::from(tf)))
     }
 
     /// A document's length norm.
@@ -79,8 +145,9 @@ impl InvertedIndex {
     }
 
     /// Score an arbitrary term-count row against query `terms` using this
-    /// index's corpus statistics (used for synopsis/aggregated pages and
-    /// for improving with original rows).
+    /// index's corpus statistics, walking every stored term of the row.
+    /// Serves `improve` over original pages, and is the oracle
+    /// [`score_query`](Self::score_query) is pinned to.
     pub fn score_row<'a>(&self, row: impl Iterator<Item = (u32, f64)> + 'a, terms: &[u32]) -> f64 {
         let mut score = 0.0;
         let mut len = 0.0;
@@ -91,6 +158,32 @@ impl InvertedIndex {
             }
         }
         score / len.sqrt().max(1.0)
+    }
+
+    /// [`score_row`](Self::score_row) driven by the query: each of
+    /// `terms` (sorted, deduplicated) is binary-searched in the row's
+    /// sorted `cols`, and the row length is its cached value `sum`. Matches
+    /// are summed in ascending term order, the order `score_row` visits
+    /// them, so the two agree bit for bit when `sum` is the row's
+    /// sequential value sum (`RowStats::sum`).
+    pub fn score_query(&self, cols: &[u32], vals: &[f64], sum: f64, terms: &[u32]) -> f64 {
+        debug_assert!(
+            terms.windows(2).all(|w| w[0] < w[1]),
+            "terms must be sorted and deduplicated"
+        );
+        let mut score = 0.0;
+        // Terms ascend, so each search starts past the previous position.
+        let mut from = 0usize;
+        for &t in terms {
+            match cols[from..].binary_search(&t) {
+                Ok(i) => {
+                    score += self.tf_idf(vals[from + i], t);
+                    from += i + 1;
+                }
+                Err(i) => from += i,
+            }
+        }
+        score / sum.sqrt().max(1.0)
     }
 }
 
@@ -115,15 +208,34 @@ mod tests {
         assert_eq!(idx.df(1), 2);
         assert_eq!(idx.df(5), 1);
         assert_eq!(idx.df(4), 0);
+        assert_eq!(idx.df(99), 0);
         assert_eq!(idx.idf(4), 0.0);
+        assert_eq!(idx.idf(99), 0.0);
         assert!(idx.idf(5) > idx.idf(1), "rarer terms weigh more");
     }
 
     #[test]
     fn postings_sorted_by_doc() {
         let idx = InvertedIndex::build(&pages());
-        let p = idx.postings(1);
-        assert_eq!(p, &[(0, 1.0), (1, 1.0)]);
+        let p: Vec<(u64, f64)> = idx.postings(1).collect();
+        assert_eq!(p, [(0, 1.0), (1, 1.0)]);
+        assert_eq!(idx.postings(2).collect::<Vec<_>>(), [(1, 2.0)]);
+        assert_eq!(idx.postings(99).len(), 0);
+    }
+
+    #[test]
+    fn csr_arrays_are_sized_exactly() {
+        let idx = InvertedIndex::build(&pages());
+        // 6 terms → 7 row pointers; 5 stored (doc, term) entries.
+        assert_eq!(idx.offsets.len(), 7);
+        assert_eq!(idx.offsets.capacity(), 7);
+        assert_eq!(idx.idf.len(), 6);
+        assert_eq!(idx.idf.capacity(), 6);
+        for arr in [&idx.docs, &idx.counts] {
+            assert_eq!(arr.len(), 5);
+            assert_eq!(arr.capacity(), 5);
+        }
+        assert_eq!(idx.doc_norm.capacity(), 3);
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! Property-based tests for the search substrate: top-k vs. a sort oracle,
-//! exact search vs. brute-force scoring, and route-key laws.
+//! exact search vs. brute-force scoring, the query-driven row scorer vs.
+//! the term-walking one, CSR postings vs. a nested-`Vec` build, and
+//! route-key laws.
 
 use at_core::RouteKey;
+use at_linalg::RowStats;
 use at_search::{search_exact, InvertedIndex, SearchRequest, TopK};
 use at_synopsis::{RowStore, SparseRow};
 use proptest::prelude::*;
@@ -20,8 +23,88 @@ fn build_store(docs: &[Vec<(u8, u8)>]) -> RowStore {
     s
 }
 
+/// Pages whose counts span the whole range the corpora use (1..=65 535).
+fn wide_docs_strategy() -> impl Strategy<Value = Vec<Vec<(u32, u32)>>> {
+    prop::collection::vec(
+        prop::collection::vec((0u32..24, 1u32..=65_535), 0..10),
+        1..40,
+    )
+}
+
+fn build_wide_store(docs: &[Vec<(u32, u32)>]) -> RowStore {
+    let mut s = RowStore::new(24);
+    for d in docs {
+        s.push_row(SparseRow::from_pairs(
+            d.iter().map(|&(t, c)| (t, f64::from(c))).collect(),
+        ));
+    }
+    s
+}
+
+/// The postings layout the CSR replaced: one `Vec` of `(doc, tf)` per
+/// term, pushed in doc order.
+fn reference_postings(store: &RowStore) -> Vec<Vec<(u64, f64)>> {
+    let mut postings = vec![Vec::new(); store.feature_dim()];
+    for id in store.ids() {
+        for (t, c) in store.row(id).iter() {
+            postings[t as usize].push((id, c));
+        }
+    }
+    postings
+}
+
+#[test]
+#[should_panic(expected = "not a whole number")]
+fn fractional_count_panics_at_build() {
+    let mut s = RowStore::new(4);
+    s.push_row(SparseRow::from_pairs(vec![(1, 2.0), (3, 0.5)]));
+    InvertedIndex::build(&s);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `score_query` (query terms searched in the row, cached length)
+    /// equals `score_row` (every row term walked) bit for bit: rows may be
+    /// empty, and query terms may be absent from the row, or from the
+    /// vocabulary (terms 24..32). Rows and queries are dense enough that
+    /// most cases sum three or more matches, where order shows in the bits.
+    #[test]
+    fn score_query_is_bit_identical_to_score_row(
+        docs in wide_docs_strategy(),
+        row in prop::collection::vec((0u32..32, 1u32..=65_535), 0..24),
+        terms in prop::collection::vec(0u32..32, 0..16),
+    ) {
+        let index = InvertedIndex::build(&build_wide_store(&docs));
+        let row = SparseRow::from_pairs(row.into_iter().map(|(t, c)| (t, f64::from(c))).collect());
+        let q = SearchRequest::new(terms).terms;
+        let sum = RowStats::of(&row.vals).sum;
+        let want = index.score_row(row.iter(), &q);
+        let got = index.score_query(&row.cols, &row.vals, sum, &q);
+        prop_assert_eq!(got.to_bits(), want.to_bits());
+    }
+
+    /// The CSR postings read back exactly as the nested-`Vec` build,
+    /// term by term, in doc order, and the idf table holds exactly
+    /// `ln(1 + N / df)` of the reference lists.
+    #[test]
+    fn csr_postings_equal_reference_build(docs in wide_docs_strategy()) {
+        let store = build_wide_store(&docs);
+        let index = InvertedIndex::build(&store);
+        let want = reference_postings(&store);
+        for (t, list) in want.iter().enumerate() {
+            let got: Vec<(u64, f64)> = index.postings(t as u32).collect();
+            prop_assert_eq!(&got, list);
+            prop_assert_eq!(index.df(t as u32), list.len());
+            let idf = if list.is_empty() {
+                0.0
+            } else {
+                (1.0 + store.len() as f64 / list.len() as f64).ln()
+            };
+            prop_assert_eq!(index.idf(t as u32).to_bits(), idf.to_bits());
+        }
+        prop_assert_eq!(index.postings(24).len(), 0);
+    }
 
     #[test]
     fn topk_matches_sort_oracle(hits in prop::collection::vec((0u64..1000, 0.0f64..100.0), 0..200),

@@ -253,3 +253,68 @@ fn search_policy_imax_caps_coverage() {
     }
     assert!(served.mean_coverage() <= 0.75);
 }
+
+/// Pins the query-driven stage-1 kernel to the term-walking oracle on
+/// realistic data: a `small`-shaped deployment (6 components × 150 pages,
+/// 1 200-term vocabulary, 500 distinct queries) generated the way the
+/// benchmark's search deployment is. Every request is scored against every
+/// synopsis point and every original page of every component, and
+/// `score_query` must equal `score_row` bit for bit.
+#[test]
+fn score_query_matches_score_row_on_a_small_deployment() {
+    const DATA_SEED: u64 = 0xACC0_2016;
+    let corpus = Corpus::generate(CorpusConfig {
+        n_docs: 6 * 150,
+        vocab: 1200,
+        n_topics: 12,
+        seed: DATA_SEED,
+        ..CorpusConfig::default()
+    });
+    let rows: Vec<SparseRow> = corpus
+        .docs
+        .iter()
+        .map(|d| SparseRow::from_pairs(d.terms.clone()))
+        .collect();
+    let mut generator = QueryGenerator::new(&corpus, DATA_SEED ^ 0x9e);
+    let mut requests: Vec<SearchRequest> = Vec::new();
+    let mut attempts = 0usize;
+    while requests.len() < 500 && attempts < 500 * 20 {
+        let req = SearchRequest::from(&generator.next_query(&corpus));
+        if !requests.contains(&req) {
+            requests.push(req);
+        }
+        attempts += 1;
+    }
+    assert_eq!(requests.len(), 500);
+    let config = SynopsisConfig {
+        svd: SvdConfig::default().with_epochs(30).with_seed(DATA_SEED),
+        size_ratio: 12,
+        ..SynopsisConfig::default()
+    };
+    let subsets = partition_rows(corpus.config.vocab, rows, 6).expect("6 components");
+    let (mut points, mut pages) = (0usize, 0usize);
+    for subset in subsets {
+        let engine = SearchService::build(&subset, 10);
+        let (component, _) = Component::build(subset, AggregationMode::Merge, config, engine);
+        let (index, dataset) = (component.service().index(), component.dataset());
+        for req in &requests {
+            let terms = &req.terms;
+            for (p, stats) in component.store().synopsis().points_with_stats() {
+                let got = index.score_query(&p.info.cols, &p.info.vals, stats.sum, terms);
+                let want = index.score_row(p.info.iter(), terms);
+                assert_eq!(got.to_bits(), want.to_bits(), "point {:?}", p.node);
+                points += 1;
+            }
+            for id in dataset.ids() {
+                let row = dataset.row(id);
+                let sum = dataset.row_stats(id).sum;
+                let got = index.score_query(&row.cols, &row.vals, sum, terms);
+                let want = index.score_row(row.iter(), terms);
+                assert_eq!(got.to_bits(), want.to_bits(), "page {id}");
+                pages += 1;
+            }
+        }
+    }
+    assert_eq!(pages, 500 * 900);
+    assert!(points > 0);
+}

@@ -162,7 +162,9 @@ impl<S: ApproximateService> Component<S> {
             .execute_batch_pooled(reqs, policy, submitted, pool)
     }
 
-    /// Apply input-data changes and incrementally update the synopsis.
+    /// Apply input-data changes, incrementally update the synopsis, then
+    /// let the service refresh what it derived from the data
+    /// ([`ApproximateService::data_updated`]).
     ///
     /// Copy-on-write with respect to [`replica`](Self::replica): when the
     /// data is currently shared, it is deep-copied first, so replicas keep
@@ -170,7 +172,12 @@ impl<S: ApproximateService> Component<S> {
     /// replicas after the update).
     pub fn apply_updates(&mut self, updates: Vec<DataUpdate>) -> UpdateReport {
         let data = Arc::make_mut(&mut self.data);
-        data.store.apply_updates(&mut data.dataset, updates)
+        let report = data.store.apply_updates(&mut data.dataset, updates);
+        self.service.data_updated(Ctx {
+            dataset: &data.dataset,
+            store: &data.store,
+        });
+        report
     }
 
     /// Consistency check of the offline artifacts.
@@ -217,6 +224,32 @@ mod tests {
         }
     }
 
+    /// Records the dataset size every `data_updated` call saw.
+    #[derive(Default)]
+    struct Reindexing {
+        seen: Vec<usize>,
+    }
+
+    impl ApproximateService for Reindexing {
+        type Row = at_synopsis::SparseRow;
+        type Request = ();
+        type Output = usize;
+
+        fn process_synopsis(&self, _: Ctx<'_>, _: &(), _: &mut Vec<Correlation>) -> usize {
+            0
+        }
+
+        fn improve(&self, _: Ctx<'_>, _: &(), _: &mut usize, _: at_rtree::NodeId, _: &[u64]) {}
+
+        fn process_exact(&self, _: Ctx<'_>, _: &()) -> usize {
+            0
+        }
+
+        fn data_updated(&mut self, ctx: Ctx<'_>) {
+            self.seen.push(ctx.dataset.len());
+        }
+    }
+
     fn data(n: usize) -> RowStore {
         let mut s = RowStore::new(8);
         for r in 0..n as u32 {
@@ -245,6 +278,26 @@ mod tests {
         assert_eq!(o.output, 150);
         let exact = c.execute(&(), &ExecutionPolicy::Exact, Instant::now());
         assert_eq!(exact.output, 150);
+    }
+
+    #[test]
+    fn updated_data_reaches_the_service_through_a_fault_wrapper() {
+        let service = crate::FaultyService::new(
+            Reindexing::default(),
+            Arc::new(crate::FaultInjector::new(7)),
+        );
+        let (mut c, _) = Component::build(data(100), AggregationMode::Mean, quick(), service);
+        assert!(
+            c.service().inner().seen.is_empty(),
+            "build is not an update"
+        );
+        let row = SparseRow::from_pairs((0..8).map(|x| (x, 1.0)).collect());
+        c.apply_updates(vec![DataUpdate::Add(row)]);
+        assert_eq!(
+            c.service().inner().seen,
+            [101],
+            "called once, after the store update"
+        );
     }
 
     #[test]

@@ -423,6 +423,11 @@ impl<S: ApproximateService> ApproximateService for FaultyService<S> {
         let _ = self.injector.trip(FaultSite::Stage1);
         self.inner.process_exact(ctx, req)
     }
+
+    /// Offline maintenance, not a serving site: forwarded, never faulted.
+    fn data_updated(&mut self, ctx: Ctx<'_, S::Row>) {
+        self.inner.data_updated(ctx);
+    }
 }
 
 impl<S: ComposableService> ComposableService for FaultyService<S> {

@@ -229,6 +229,13 @@ pub trait ApproximateService {
     /// Baseline: full computation over the entire input data — what the
     /// paper's Basic / request-reissue / partial-execution techniques run.
     fn process_exact(&self, ctx: Ctx<'_, Self::Row>, req: &Self::Request) -> Self::Output;
+
+    /// The component's data just changed
+    /// ([`Component::apply_updates`](crate::Component::apply_updates)):
+    /// refresh whatever the service derived from it, reading the updated
+    /// subset and synopsis from `ctx`. The default keeps nothing derived,
+    /// so it does nothing.
+    fn data_updated(&mut self, _ctx: Ctx<'_, Self::Row>) {}
 }
 
 /// A fan-out service that can merge ordered per-component partial outputs

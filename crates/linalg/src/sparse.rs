@@ -91,6 +91,56 @@ impl SparseMatrix {
         }
     }
 
+    /// Assemble from CSR arrays: row `r` is `col_idx` / `values` over
+    /// `row_ptr[r]..row_ptr[r + 1]`. For callers that already hold rows in
+    /// order with sorted columns, this skips the builder's staging, sort
+    /// and dedup copies (about four times the matrix, transient).
+    ///
+    /// # Panics
+    /// If `row_ptr` does not hold `rows + 1` non-decreasing offsets from 0
+    /// to `nnz`, `col_idx` and `values` differ in length, or a row's
+    /// columns are not strictly ascending below `cols`.
+    pub fn from_csr(
+        rows: usize,
+        cols: usize,
+        row_ptr: Vec<usize>,
+        col_idx: Vec<u32>,
+        values: Vec<f64>,
+    ) -> Self {
+        assert_eq!(row_ptr.len(), rows + 1, "from_csr: row_ptr length");
+        assert_eq!(
+            col_idx.len(),
+            values.len(),
+            "from_csr: col_idx and values differ in length"
+        );
+        assert_eq!(
+            row_ptr.first(),
+            Some(&0),
+            "from_csr: row_ptr must start at 0"
+        );
+        assert_eq!(
+            row_ptr.last(),
+            Some(&col_idx.len()),
+            "from_csr: row_ptr must end at nnz"
+        );
+        for w in row_ptr.windows(2) {
+            assert!(w[0] <= w[1], "from_csr: row_ptr decreases");
+            let row = &col_idx[w[0]..w[1]];
+            assert!(
+                row.windows(2).all(|c| c[0] < c[1])
+                    && row.last().is_none_or(|&c| (c as usize) < cols),
+                "from_csr: a row's columns are not strictly ascending below {cols}"
+            );
+        }
+        SparseMatrix {
+            rows,
+            cols,
+            row_ptr,
+            col_idx,
+            values,
+        }
+    }
+
     /// Iterate over all stored `(row, col, value)` triples.
     pub fn iter(&self) -> impl Iterator<Item = (usize, u32, f64)> + '_ {
         (0..self.rows).flat_map(move |r| self.row(r).map(move |(c, v)| (r, c, v)))
@@ -253,5 +303,35 @@ mod tests {
         let m = SparseMatrixBuilder::new(0, 0).build();
         assert_eq!(m.nnz(), 0);
         assert_eq!(m.iter().count(), 0);
+    }
+
+    #[test]
+    fn from_csr_equals_builder() {
+        let m = SparseMatrix::from_csr(
+            3,
+            4,
+            vec![0, 2, 2, 4],
+            vec![0, 2, 1, 3],
+            vec![1.0, 2.0, 4.0, 3.0],
+        );
+        assert_eq!(m, sample());
+    }
+
+    #[test]
+    #[should_panic(expected = "not strictly ascending")]
+    fn from_csr_unsorted_row_panics() {
+        SparseMatrix::from_csr(1, 4, vec![0, 2], vec![2, 1], vec![1.0, 1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not strictly ascending below 4")]
+    fn from_csr_out_of_range_column_panics() {
+        SparseMatrix::from_csr(1, 4, vec![0, 1], vec![4], vec![1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "row_ptr must end at nnz")]
+    fn from_csr_short_row_ptr_panics() {
+        SparseMatrix::from_csr(1, 4, vec![0, 1], vec![0, 1], vec![1.0, 1.0]);
     }
 }

@@ -15,8 +15,9 @@
 
 use at_core::{ApproximateService, ComposableService, Correlation, Ctx, Fnv1a, RouteKey};
 use at_rtree::NodeId;
-use at_synopsis::RowStore;
+use at_synopsis::{Row, RowStore};
 
+use crate::count_row::CountRow;
 use crate::engine::search_exact;
 use crate::index::InvertedIndex;
 use crate::topk::TopK;
@@ -57,8 +58,10 @@ impl RouteKey for SearchRequest {
 }
 
 /// The Lucene-style search service, AccuracyTrader-enabled. Owns the
-/// component's inverted index (rebuild with [`SearchService::rebuild`]
-/// after input-data updates).
+/// component's inverted index, and rebuilds it from the component's pages
+/// whenever [`Component::apply_updates`](at_core::Component::apply_updates)
+/// changes them. Pages and merged pages are stored as [`CountRow`]s, and
+/// both stages score them with [`InvertedIndex::score_query`].
 ///
 /// Batch-aware: `process_synopsis_batch` scores each aggregated page
 /// against every query of a batch in one shared synopsis pass, and
@@ -71,18 +74,13 @@ pub struct SearchService {
 }
 
 impl SearchService {
-    /// Build the inverted index over a component's pages; results are
-    /// top-`k` lists (paper: k = 10).
-    pub fn build(pages: &RowStore, k: usize) -> Self {
+    /// Build the inverted index over a component's pages, in any stored
+    /// layout; results are top-`k` lists (paper: k = 10).
+    pub fn build<R: Row>(pages: &RowStore<R>, k: usize) -> Self {
         SearchService {
             index: InvertedIndex::build(pages),
             k,
         }
-    }
-
-    /// Re-index after the page set changed.
-    pub fn rebuild(&mut self, pages: &RowStore) {
-        self.index = InvertedIndex::build(pages);
     }
 
     /// The component's inverted index.
@@ -97,13 +95,13 @@ impl SearchService {
 }
 
 impl ApproximateService for SearchService {
-    type Row = at_synopsis::SparseRow;
+    type Row = CountRow;
     type Request = SearchRequest;
     type Output = TopK;
 
     fn process_synopsis(
         &self,
-        ctx: Ctx<'_>,
+        ctx: Ctx<'_, CountRow>,
         req: &SearchRequest,
         corr: &mut Vec<Correlation>,
     ) -> Self::Output {
@@ -114,7 +112,7 @@ impl ApproximateService for SearchService {
 
     fn process_synopsis_into(
         &self,
-        ctx: Ctx<'_>,
+        ctx: Ctx<'_, CountRow>,
         req: &SearchRequest,
         corr: &mut Vec<Correlation>,
         out: &mut Self::Output,
@@ -127,14 +125,14 @@ impl ApproximateService for SearchService {
                 node: p.node,
                 score: self
                     .index
-                    .score_query(&p.info.cols, &p.info.vals, s.sum, &req.terms),
+                    .score_query(p.info.cols(), p.info.counts(), s.sum, &req.terms),
             }
         }));
     }
 
     fn process_synopsis_batch(
         &self,
-        ctx: Ctx<'_>,
+        ctx: Ctx<'_, CountRow>,
         reqs: &[SearchRequest],
         corrs: &mut [Vec<Correlation>],
         outs: &mut Vec<Self::Output>,
@@ -165,8 +163,8 @@ impl ApproximateService for SearchService {
                     corr.push(Correlation {
                         node: p.node,
                         score: self.index.score_query(
-                            &p.info.cols,
-                            &p.info.vals,
+                            p.info.cols(),
+                            p.info.counts(),
                             s.sum,
                             &req.terms,
                         ),
@@ -179,24 +177,32 @@ impl ApproximateService for SearchService {
 
     fn improve(
         &self,
-        ctx: Ctx<'_>,
+        ctx: Ctx<'_, CountRow>,
         req: &SearchRequest,
         out: &mut Self::Output,
         _node: NodeId,
         members: &[u64],
     ) {
         for &doc in members {
+            let row = ctx.dataset.row(doc);
+            let sum = ctx.dataset.row_stats(doc).sum;
             let score = self
                 .index
-                .score_row(ctx.dataset.row(doc).iter(), &req.terms);
+                .score_query(row.cols(), row.counts(), sum, &req.terms);
             if score > 0.0 {
                 out.push(doc, score);
             }
         }
     }
 
-    fn process_exact(&self, _ctx: Ctx<'_>, req: &SearchRequest) -> Self::Output {
+    fn process_exact(&self, _ctx: Ctx<'_, CountRow>, req: &SearchRequest) -> Self::Output {
         search_exact(&self.index, &req.terms, self.k)
+    }
+
+    /// The pages changed: re-index them, so `process_exact`'s postings,
+    /// idf and norms describe the pages `improve` scores.
+    fn data_updated(&mut self, ctx: Ctx<'_, CountRow>) {
+        self.index = InvertedIndex::build(ctx.dataset);
     }
 }
 
@@ -226,7 +232,7 @@ impl ComposableService for SearchService {
 /// *actual top-k* pages (from exact search) whose group falls in that
 /// section.
 pub fn section_top_k_coverage(
-    ctx: Ctx<'_>,
+    ctx: Ctx<'_, CountRow>,
     service: &SearchService,
     req: &SearchRequest,
     n_sections: usize,

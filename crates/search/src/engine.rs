@@ -83,20 +83,16 @@ mod tests {
     }
 
     #[test]
-    fn scores_match_score_row() {
-        // The index path and the generic row-scoring path agree.
+    fn scores_match_score_query() {
+        // The postings path and the stored-row kernel agree.
         let (s, idx) = corpus();
+        let s = s.into_layout::<crate::CountRow>();
         let terms = vec![3u32, 7];
         let top = search_exact(&idx, &terms, 10);
         for h in top.sorted() {
             let row = s.row(h.doc);
-            let via_row = idx.score_row(row.iter(), &terms);
-            assert!(
-                (h.score - via_row).abs() < 1e-12,
-                "doc {}: {} vs {via_row}",
-                h.doc,
-                h.score
-            );
+            let via_row = idx.score_query(row.cols(), row.counts(), s.row_stats(h.doc).sum, &terms);
+            assert_eq!(h.score.to_bits(), via_row.to_bits(), "doc {}", h.doc);
         }
     }
 }

@@ -9,7 +9,9 @@
 
 use std::ops::Range;
 
-use at_synopsis::RowStore;
+use at_synopsis::{Row, RowStore};
+
+use crate::count_row::whole_count;
 
 /// Inverted index over one component's page subset.
 #[derive(Clone, Debug)]
@@ -28,23 +30,16 @@ pub struct InvertedIndex {
     doc_norm: Vec<f64>,
 }
 
-/// A stored term count as a `u32`. Term frequencies are whole numbers;
-/// anything else would not survive the CSR's integer counts bit for bit.
-fn whole_count(c: f64) -> u32 {
-    assert!(
-        c >= 0.0 && c.fract() == 0.0 && c <= f64::from(u32::MAX),
-        "InvertedIndex::build: term count {c} is not a whole number in u32 range"
-    );
-    c as u32
-}
-
 impl InvertedIndex {
-    /// Build from a page store (rows = pages, cols = terms, vals = counts).
+    /// Build from a page store (rows = pages, cols = terms, vals = counts)
+    /// in any stored layout: the interchange [`SparseRow`](at_synopsis::SparseRow)
+    /// store a deployment starts from, or a component's
+    /// [`CountRow`](crate::CountRow) store after an update.
     ///
     /// # Panics
     /// If a count is not a whole number in `u32` range, or the component
     /// holds more than `u32::MAX` pages or postings.
-    pub fn build(pages: &RowStore) -> Self {
+    pub fn build<R: Row>(pages: &RowStore<R>) -> Self {
         let vocab = pages.feature_dim();
         let n_docs = pages.len();
         assert!(
@@ -54,9 +49,7 @@ impl InvertedIndex {
         // Pass 1: document frequencies, then their prefix sums.
         let mut offsets = vec![0u32; vocab + 1];
         for id in pages.ids() {
-            for (t, _) in pages.row(id).iter() {
-                offsets[t as usize + 1] += 1;
-            }
+            pages.row(id).for_each(|t, _| offsets[t as usize + 1] += 1);
         }
         for t in 0..vocab {
             offsets[t + 1] = offsets[t]
@@ -78,13 +71,13 @@ impl InvertedIndex {
         let mut doc_norm = Vec::with_capacity(n_docs);
         for id in pages.ids() {
             let mut len = 0.0;
-            for (t, c) in pages.row(id).iter() {
+            pages.row(id).for_each(|t, c| {
                 let slot = &mut next[t as usize];
                 docs[*slot as usize] = id as u32;
-                counts[*slot as usize] = whole_count(c);
+                counts[*slot as usize] = whole_count("InvertedIndex::build", c);
                 *slot += 1;
                 len += c;
-            }
+            });
             doc_norm.push(len.sqrt().max(1.0));
         }
         InvertedIndex {
@@ -144,29 +137,14 @@ impl InvertedIndex {
         }
     }
 
-    /// Score an arbitrary term-count row against query `terms` using this
-    /// index's corpus statistics, walking every stored term of the row.
-    /// Serves `improve` over original pages, and is the oracle
-    /// [`score_query`](Self::score_query) is pinned to.
-    pub fn score_row<'a>(&self, row: impl Iterator<Item = (u32, f64)> + 'a, terms: &[u32]) -> f64 {
-        let mut score = 0.0;
-        let mut len = 0.0;
-        for (t, c) in row {
-            len += c;
-            if terms.binary_search(&t).is_ok() {
-                score += self.tf_idf(c, t);
-            }
-        }
-        score / len.sqrt().max(1.0)
-    }
-
-    /// [`score_row`](Self::score_row) driven by the query: each of
-    /// `terms` (sorted, deduplicated) is binary-searched in the row's
-    /// sorted `cols`, and the row length is its cached value `sum`. Matches
-    /// are summed in ascending term order, the order `score_row` visits
-    /// them, so the two agree bit for bit when `sum` is the row's
-    /// sequential value sum (`RowStats::sum`).
-    pub fn score_query(&self, cols: &[u32], vals: &[f64], sum: f64, terms: &[u32]) -> f64 {
+    /// Score one stored page (or merged page) against query `terms`
+    /// (sorted, deduplicated) using this index's corpus statistics: each
+    /// query term is binary-searched in the row's sorted `cols`, matches
+    /// are summed in ascending term order, and the row length is its
+    /// cached value `sum` (`RowStats::sum`). This is the one scoring
+    /// kernel of both stages; `counts` are whole numbers, so it equals a
+    /// walk over every stored term of the `f64` row bit for bit.
+    pub fn score_query(&self, cols: &[u32], counts: &[u32], sum: f64, terms: &[u32]) -> f64 {
         debug_assert!(
             terms.windows(2).all(|w| w[0] < w[1]),
             "terms must be sorted and deduplicated"
@@ -177,7 +155,7 @@ impl InvertedIndex {
         for &t in terms {
             match cols[from..].binary_search(&t) {
                 Ok(i) => {
-                    score += self.tf_idf(vals[from + i], t);
+                    score += self.tf_idf(f64::from(counts[from + i]), t);
                     from += i + 1;
                 }
                 Err(i) => from += i,
@@ -246,18 +224,29 @@ mod tests {
     }
 
     #[test]
-    fn score_row_matches_manual() {
+    fn score_query_matches_manual() {
         let idx = InvertedIndex::build(&pages());
-        let row = vec![(1u32, 1.0), (2u32, 2.0)];
-        let terms = vec![2u32];
-        let got = idx.score_row(row.into_iter(), &terms);
+        // The row {1: 1, 2: 2} (length 3) against the query {2}.
+        let got = idx.score_query(&[1, 2], &[1, 2], 3.0, &[2]);
         let want = (1.0 + 2f64.ln()) * idx.idf(2) / 3f64.sqrt();
         assert!((got - want).abs() < 1e-12);
     }
 
     #[test]
-    fn score_row_no_match_is_zero() {
+    fn score_query_no_match_is_zero() {
         let idx = InvertedIndex::build(&pages());
-        assert_eq!(idx.score_row(vec![(0u32, 1.0)].into_iter(), &[5]), 0.0);
+        assert_eq!(idx.score_query(&[0], &[1], 1.0, &[5]), 0.0);
+    }
+
+    #[test]
+    fn count_row_store_builds_the_same_index() {
+        let sparse = InvertedIndex::build(&pages());
+        let counts = InvertedIndex::build(&pages().into_layout::<crate::CountRow>());
+        assert_eq!(counts.offsets, sparse.offsets);
+        assert_eq!(counts.docs, sparse.docs);
+        assert_eq!(counts.counts, sparse.counts);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&counts.idf), bits(&sparse.idf));
+        assert_eq!(bits(&counts.doc_norm), bits(&sparse.doc_norm));
     }
 }

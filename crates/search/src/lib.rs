@@ -5,7 +5,10 @@
 //! AccuracyTrader adapter:
 //!
 //! * [`mod@tokenize`] — tokenizer + interning vocabulary for text input.
-//! * [`index`] — the inverted index (postings, idf, norms).
+//! * [`count_row`] — [`CountRow`], the stored page layout (`u32` term
+//!   ids and counts).
+//! * [`index`] — the inverted index (postings, idf, norms) and the one
+//!   row-scoring kernel, [`InvertedIndex::score_query`].
 //! * [`engine`] — exact top-k query evaluation.
 //! * [`topk`] — bounded best-k collection with merge (fan-out composition).
 //! * [`accuracy`] — top-k overlap and accuracy-loss percentage.
@@ -14,6 +17,7 @@
 
 pub mod accuracy;
 pub mod adapter;
+pub mod count_row;
 pub mod engine;
 pub mod index;
 pub mod tokenize;
@@ -21,6 +25,7 @@ pub mod topk;
 
 pub use accuracy::{accuracy_loss_pct, topk_overlap};
 pub use adapter::{section_top_k_coverage, SearchRequest, SearchService, COMPONENT_STRIDE};
+pub use count_row::CountRow;
 pub use engine::search_exact;
 pub use index::InvertedIndex;
 pub use tokenize::{tokenize, Vocabulary};

@@ -1,13 +1,28 @@
 //! Property-based tests for the search substrate: top-k vs. a sort oracle,
-//! exact search vs. brute-force scoring, the query-driven row scorer vs.
-//! the term-walking one, CSR postings vs. a nested-`Vec` build, and
-//! route-key laws.
+//! exact search vs. brute-force scoring, the query-driven row scorer over
+//! `u32` counts vs. the term-walking one over `f64` values, the `CountRow`
+//! round trip, CSR postings vs. a nested-`Vec` build, and route-key laws.
 
 use at_core::RouteKey;
 use at_linalg::RowStats;
-use at_search::{search_exact, InvertedIndex, SearchRequest, TopK};
-use at_synopsis::{RowStore, SparseRow};
+use at_search::{search_exact, CountRow, InvertedIndex, SearchRequest, TopK};
+use at_synopsis::{Row, RowStore, SparseRow};
 use proptest::prelude::*;
+
+/// The term-walking row scorer `InvertedIndex::score_query` replaced,
+/// kept as its oracle: every stored term of the `f64` row is visited,
+/// matches summed in ascending term order, the length summed as it goes.
+fn score_row(index: &InvertedIndex, row: &SparseRow, terms: &[u32]) -> f64 {
+    let mut score = 0.0;
+    let mut len = 0.0;
+    for (t, c) in row.iter() {
+        len += c;
+        if terms.binary_search(&t).is_ok() {
+            score += index.tf_idf(c, t);
+        }
+    }
+    score / len.sqrt().max(1.0)
+}
 
 fn docs_strategy() -> impl Strategy<Value = Vec<Vec<(u8, u8)>>> {
     prop::collection::vec(prop::collection::vec((0u8..24, 1u8..=6), 1..10), 1..40)
@@ -61,14 +76,42 @@ fn fractional_count_panics_at_build() {
     InvertedIndex::build(&s);
 }
 
+#[test]
+#[should_panic(expected = "CountRow::encode: term count 0.5 is not a whole number")]
+fn fractional_count_panics_at_encode() {
+    CountRow::encode(SparseRow::from_pairs(vec![(1, 2.0), (3, 0.5)]));
+}
+
+#[test]
+#[should_panic(expected = "CountRow::encode: term count -1 is not a whole number")]
+fn negative_count_panics_at_encode() {
+    CountRow::encode(SparseRow::from_pairs(vec![(1, -1.0)]));
+}
+
+#[test]
+#[should_panic(expected = "CountRow::encode: term count 4294967296 is not a whole number")]
+fn count_above_u32_max_panics_at_encode() {
+    CountRow::encode(SparseRow::from_pairs(vec![
+        (0, 1.0),
+        (1, f64::from(u32::MAX) + 1.0),
+    ]));
+}
+
+#[test]
+#[should_panic(expected = "CountRow::encode: term count NaN is not a whole number")]
+fn nan_count_panics_at_encode() {
+    CountRow::encode(SparseRow::from_pairs(vec![(2, f64::NAN)]));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `score_query` (query terms searched in the row, cached length)
-    /// equals `score_row` (every row term walked) bit for bit: rows may be
-    /// empty, and query terms may be absent from the row, or from the
-    /// vocabulary (terms 24..32). Rows and queries are dense enough that
-    /// most cases sum three or more matches, where order shows in the bits.
+    /// `score_query` (query terms searched in the row's `u32` counts,
+    /// cached length) equals `score_row` (every term of the `f64` row
+    /// walked) bit for bit: rows may be empty, and query terms may be
+    /// absent from the row, or from the vocabulary (terms 24..32). Rows and
+    /// queries are dense enough that most cases sum three or more matches,
+    /// where order shows in the bits.
     #[test]
     fn score_query_is_bit_identical_to_score_row(
         docs in wide_docs_strategy(),
@@ -79,9 +122,30 @@ proptest! {
         let row = SparseRow::from_pairs(row.into_iter().map(|(t, c)| (t, f64::from(c))).collect());
         let q = SearchRequest::new(terms).terms;
         let sum = RowStats::of(&row.vals).sum;
-        let want = index.score_row(row.iter(), &q);
-        let got = index.score_query(&row.cols, &row.vals, sum, &q);
+        let want = score_row(&index, &row, &q);
+        let counts = CountRow::encode(row);
+        let got = index.score_query(counts.cols(), counts.counts(), sum, &q);
         prop_assert_eq!(got.to_bits(), want.to_bits());
+    }
+
+    /// Any row of whole `u32` counts survives `CountRow`: decoding gives
+    /// back the same columns and the same value bits, `for_each` visits
+    /// the same pairs, and re-encoding the decoded row is a fixed point.
+    #[test]
+    fn count_row_round_trips(
+        pairs in prop::collection::vec((0u32..=u32::MAX, 0u32..=u32::MAX), 0..40),
+    ) {
+        let row = SparseRow::from_pairs(pairs.into_iter().map(|(t, c)| (t, f64::from(c))).collect());
+        let encoded = CountRow::encode(row.clone());
+        let decoded = encoded.decode();
+        prop_assert_eq!(&decoded.cols, &row.cols);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&decoded.vals), bits(&row.vals));
+        let mut visited = Vec::new();
+        encoded.for_each(|t, c| visited.push((t, c.to_bits())));
+        let want: Vec<(u32, u64)> = row.iter().map(|(t, c)| (t, c.to_bits())).collect();
+        prop_assert_eq!(visited, want);
+        prop_assert_eq!(CountRow::encode(decoded), encoded);
     }
 
     /// The CSR postings read back exactly as the nested-`Vec` build,
@@ -156,7 +220,7 @@ proptest! {
         // Oracle: score every doc through the generic row scorer.
         let mut oracle = TopK::new(10);
         for id in store.ids() {
-            let s = index.score_row(store.row(id).iter(), &q);
+            let s = score_row(&index, store.row(id), &q);
             if s > 0.0 {
                 oracle.push(id, s);
             }
@@ -182,7 +246,7 @@ proptest! {
         let mut merged = TopK::new(10);
         for shard in 0..n_shards {
             for id in store.ids().filter(|id| (*id as usize) % n_shards == shard) {
-                let s = global_index.score_row(store.row(id).iter(), &q);
+                let s = score_row(&global_index, store.row(id), &q);
                 if s > 0.0 {
                     merged.push(id, s);
                 }

@@ -14,7 +14,7 @@
 //! (construction, updates) and leave it ([`Row::decode`]) as `SparseRow`s
 //! whatever the stored layout is.
 
-use at_linalg::sparse::{SparseMatrix, SparseMatrixBuilder};
+use at_linalg::sparse::SparseMatrix;
 use at_linalg::{BlockedRow, IndexedRow, RowStats};
 
 /// How a group of original rows is folded into one aggregated data point.
@@ -262,13 +262,23 @@ impl<R: Row> RowStore<R> {
         0..self.rows.len() as u64
     }
 
-    /// Convert to CSR for SVD training.
+    /// Convert to CSR for SVD training. Rows are visited in id order and
+    /// each in ascending column order, so the arrays are filled in place,
+    /// sized exactly from the cached entry counts.
     pub fn to_csr(&self) -> SparseMatrix {
-        let mut b = SparseMatrixBuilder::new(self.rows.len(), self.feature_dim);
-        for (r, row) in self.rows.iter().enumerate() {
-            row.for_each(|c, v| b.push(r, c, v));
+        let nnz = self.stats.iter().map(|s| s.nnz).sum();
+        let mut row_ptr = Vec::with_capacity(self.rows.len() + 1);
+        let mut col_idx = Vec::with_capacity(nnz);
+        let mut values = Vec::with_capacity(nnz);
+        row_ptr.push(0);
+        for row in &self.rows {
+            row.for_each(|c, v| {
+                col_idx.push(c);
+                values.push(v);
+            });
+            row_ptr.push(col_idx.len());
         }
-        b.build()
+        SparseMatrix::from_csr(self.rows.len(), self.feature_dim, row_ptr, col_idx, values)
     }
 
     /// Aggregate `members`' rows into one row under `mode`. Column order of
@@ -462,6 +472,30 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `to_csr` fills the CSR in place; it equals staging every entry
+        /// through the sorting, deduplicating builder, in both layouts.
+        #[test]
+        fn to_csr_matches_the_staging_builder(
+            rows in prop::collection::vec(
+                prop::collection::vec((0u32..70, -5.0f64..5.0), 0..30),
+                0..24,
+            ),
+        ) {
+            let mut sparse = RowStore::new(70);
+            for pairs in rows {
+                sparse.push_row(SparseRow::from_pairs(pairs));
+            }
+            let mut b = at_linalg::SparseMatrixBuilder::new(sparse.len(), 70);
+            for id in sparse.ids() {
+                for (c, v) in sparse.row(id).iter() {
+                    b.push(id as usize, c, v);
+                }
+            }
+            let want = b.build();
+            prop_assert_eq!(&sparse.to_csr(), &want);
+            prop_assert_eq!(&sparse.into_layout::<BlockedRow>().to_csr(), &want);
+        }
 
         #[test]
         fn aggregate_matches_btreemap_oracle_bit_for_bit(

@@ -4,7 +4,7 @@
 
 use accuracytrader::core::Component;
 use accuracytrader::prelude::*;
-use accuracytrader::search::topk_overlap;
+use accuracytrader::search::{topk_overlap, InvertedIndex};
 use std::time::{Duration, Instant};
 
 fn deployment() -> (FanOutService<SearchService>, Corpus, Vec<SearchRequest>) {
@@ -254,14 +254,25 @@ fn search_policy_imax_caps_coverage() {
     assert!(served.mean_coverage() <= 0.75);
 }
 
-/// Pins the query-driven stage-1 kernel to the term-walking oracle on
-/// realistic data: a `small`-shaped deployment (6 components × 150 pages,
-/// 1 200-term vocabulary, 500 distinct queries) generated the way the
-/// benchmark's search deployment is. Every request is scored against every
-/// synopsis point and every original page of every component, and
-/// `score_query` must equal `score_row` bit for bit.
-#[test]
-fn score_query_matches_score_row_on_a_small_deployment() {
+/// The term-walking row scorer `InvertedIndex::score_query` replaced,
+/// kept as its oracle: every stored term of the `f64` row is visited,
+/// matches summed in ascending term order, the length summed as it goes.
+fn score_row(index: &InvertedIndex, row: &SparseRow, terms: &[u32]) -> f64 {
+    let mut score = 0.0;
+    let mut len = 0.0;
+    for (t, c) in row.iter() {
+        len += c;
+        if terms.binary_search(&t).is_ok() {
+            score += index.tf_idf(c, t);
+        }
+    }
+    score / len.sqrt().max(1.0)
+}
+
+/// A `small`-shaped deployment (6 components × 150 pages, 1 200-term
+/// vocabulary) and 500 distinct queries, generated the way the benchmark's
+/// search deployment is.
+fn small_deployment() -> (Vec<Component<SearchService>>, Vec<SearchRequest>) {
     const DATA_SEED: u64 = 0xACC0_2016;
     let corpus = Corpus::generate(CorpusConfig {
         n_docs: 6 * 150,
@@ -292,24 +303,48 @@ fn score_query_matches_score_row_on_a_small_deployment() {
         ..SynopsisConfig::default()
     };
     let subsets = partition_rows(corpus.config.vocab, rows, 6).expect("6 components");
+    let components = subsets
+        .into_iter()
+        .map(|subset| {
+            let engine = SearchService::build(&subset, 10);
+            Component::build(subset, AggregationMode::Merge, config, engine).0
+        })
+        .collect();
+    (components, requests)
+}
+
+/// A top-k down to the bit: `(doc, score bits)` in rank order.
+fn hit_bits(top: &TopK) -> Vec<(u64, u64)> {
+    top.sorted()
+        .iter()
+        .map(|h| (h.doc, h.score.to_bits()))
+        .collect()
+}
+
+/// Pins the query-driven kernel to the term-walking oracle on realistic
+/// data: on [`small_deployment`], every request is scored against every
+/// synopsis point and every original page of every component, from their
+/// stored `u32` counts, and `score_query` must equal `score_row` over the
+/// decoded `f64` rows bit for bit.
+#[test]
+fn score_query_matches_score_row_on_a_small_deployment() {
+    let (components, requests) = small_deployment();
     let (mut points, mut pages) = (0usize, 0usize);
-    for subset in subsets {
-        let engine = SearchService::build(&subset, 10);
-        let (component, _) = Component::build(subset, AggregationMode::Merge, config, engine);
+    for component in &components {
         let (index, dataset) = (component.service().index(), component.dataset());
         for req in &requests {
             let terms = &req.terms;
             for (p, stats) in component.store().synopsis().points_with_stats() {
-                let got = index.score_query(&p.info.cols, &p.info.vals, stats.sum, terms);
-                let want = index.score_row(p.info.iter(), terms);
+                let got = index.score_query(p.info.cols(), p.info.counts(), stats.sum, terms);
+                let want = score_row(index, &p.info.decode(), terms);
                 assert_eq!(got.to_bits(), want.to_bits(), "point {:?}", p.node);
                 points += 1;
             }
             for id in dataset.ids() {
                 let row = dataset.row(id);
                 let sum = dataset.row_stats(id).sum;
-                let got = index.score_query(&row.cols, &row.vals, sum, terms);
-                let want = index.score_row(row.iter(), terms);
+                let got = index.score_query(row.cols(), row.counts(), sum, terms);
+                let want = score_row(index, &row.decode(), terms);
                 assert_eq!(got.to_bits(), want.to_bits(), "page {id}");
                 pages += 1;
             }
@@ -317,4 +352,90 @@ fn score_query_matches_score_row_on_a_small_deployment() {
     }
     assert_eq!(pages, 500 * 900);
     assert!(points > 0);
+}
+
+/// Stage 2 at the adapter boundary: on [`small_deployment`], for every
+/// request, every component and every ranked set in rank order, the
+/// production `improve` leaves the same top-k, by bits, as an oracle
+/// `improve` that scores each member page with `score_row` over its
+/// decoded `f64` row.
+#[test]
+fn improve_matches_score_row_oracle_on_a_small_deployment() {
+    let (components, requests) = small_deployment();
+    let mut sets = 0usize;
+    for component in &components {
+        let (ctx, service) = (component.ctx(), component.service());
+        for req in &requests {
+            let mut corr = Vec::new();
+            let mut got = service.process_synopsis(ctx, req, &mut corr);
+            let mut want = got.clone();
+            for set in accuracytrader::core::rank(corr) {
+                let members = ctx.store.index().members(set.node).expect("indexed node");
+                service.improve(ctx, req, &mut got, set.node, members);
+                for &doc in members {
+                    let score =
+                        score_row(service.index(), &ctx.dataset.row(doc).decode(), &req.terms);
+                    if score > 0.0 {
+                        want.push(doc, score);
+                    }
+                }
+                assert_eq!(hit_bits(&got), hit_bits(&want), "set {:?}", set.node);
+                sets += 1;
+            }
+        }
+    }
+    assert!(sets > 500 * components.len());
+}
+
+/// `apply_updates` re-indexes: after pages are added and changed, the
+/// full-budget approximate path (which scores the stored pages) and
+/// `Exact` (which reads the inverted index) still agree on every doc id
+/// and every score bit, and a page added all about one term ranks first
+/// for it.
+#[test]
+fn full_budget_equals_exact_after_updates() {
+    let corpus = Corpus::generate(CorpusConfig {
+        n_docs: 300,
+        vocab: 600,
+        n_topics: 6,
+        ..CorpusConfig::default()
+    });
+    let mut pages = RowStore::new(corpus.config.vocab);
+    for d in &corpus.docs {
+        pages.push_row(SparseRow::from_pairs(d.terms.clone()));
+    }
+    let engine = SearchService::build(&pages, 10);
+    let config = SynopsisConfig {
+        svd: SvdConfig::default().with_epochs(20),
+        size_ratio: 15,
+        ..SynopsisConfig::default()
+    };
+    let (mut component, _) = Component::build(pages, AggregationMode::Merge, config, engine);
+    component.apply_updates(vec![
+        DataUpdate::Add(SparseRow::from_pairs(vec![(5, 4.0)])),
+        DataUpdate::Change {
+            id: 7,
+            row: SparseRow::from_pairs(vec![(5, 3.0), (11, 2.0), (40, 1.0)]),
+        },
+    ]);
+    component
+        .validate()
+        .expect("component consistent after update");
+    let mut generator = QueryGenerator::new(&corpus, 5);
+    let mut requests: Vec<SearchRequest> = (0..20)
+        .map(|_| SearchRequest::from(&generator.next_query(&corpus)))
+        .collect();
+    requests.push(SearchRequest::new(vec![5]));
+    requests.push(SearchRequest::new(vec![5, 11, 40]));
+    for req in &requests {
+        let approx = component.execute(req, &ExecutionPolicy::budgeted(usize::MAX), Instant::now());
+        let exact = component.execute(req, &ExecutionPolicy::Exact, Instant::now());
+        assert_eq!(hit_bits(&approx.output), hit_bits(&exact.output), "{req:?}");
+    }
+    let exact = component.execute(
+        &SearchRequest::new(vec![5]),
+        &ExecutionPolicy::Exact,
+        Instant::now(),
+    );
+    assert_eq!(exact.output.doc_ids()[0], 300, "the added page ranks first");
 }

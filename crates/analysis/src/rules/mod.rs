@@ -248,7 +248,7 @@ mod tests {
 
     #[test]
     fn fn_pattern_globs() {
-        assert!(fn_matches("process_synopsis*", "process_synopsis_batch"));
+        assert!(fn_matches("process_synopsis*", "process_synopsis_into"));
         assert!(fn_matches("pearson", "pearson"));
         assert!(!fn_matches("pearson", "pearson_on_common"));
     }

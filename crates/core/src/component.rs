@@ -136,32 +136,6 @@ impl<S: ApproximateService> Component<S> {
             .execute_pooled(req, policy, submitted, pool)
     }
 
-    /// Process a whole batch of requests under one `policy` through a
-    /// single shared synopsis pass; `submitted[i]` is request `i`'s
-    /// submission instant (see [`Algorithm1::execute_batch`]).
-    pub fn execute_batch(
-        &self,
-        reqs: &[S::Request],
-        policy: &ExecutionPolicy,
-        submitted: &[Instant],
-    ) -> Vec<Outcome<S::Output>> {
-        Algorithm1::new(&self.data.dataset, &self.data.store, &self.service)
-            .execute_batch(reqs, policy, submitted)
-    }
-
-    /// [`execute_batch`](Self::execute_batch) with output buffers recycled
-    /// through `pool`.
-    pub fn execute_batch_pooled(
-        &self,
-        reqs: &[S::Request],
-        policy: &ExecutionPolicy,
-        submitted: &[Instant],
-        pool: &OutputPool<S::Output>,
-    ) -> Vec<Outcome<S::Output>> {
-        Algorithm1::new(&self.data.dataset, &self.data.store, &self.service)
-            .execute_batch_pooled(reqs, policy, submitted, pool)
-    }
-
     /// Apply input-data changes, incrementally update the synopsis, then
     /// let the service refresh what it derived from the data
     /// ([`ApproximateService::data_updated`]).

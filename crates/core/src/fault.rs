@@ -55,8 +55,10 @@ use crate::processor::{ApproximateService, ComposableService, Ctx};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultSite {
     /// The stage-1 synopsis pass (`process_synopsis*` / `process_exact`),
-    /// inside the fan-out containment boundary. Ordinals count requests:
-    /// a batch pass ticks one ordinal per request in it.
+    /// inside the fan-out containment boundary. Ordinals count requests,
+    /// in the order a leg runs them: a batch leg ticks one ordinal per
+    /// distinct request, and a leg-fatal fault at one request ends the
+    /// leg, so the requests after it take no ordinal.
     Stage1,
     /// One stage-2 `improve` call (per candidate set), also contained.
     Stage2,
@@ -222,12 +224,6 @@ impl FaultInjector {
             + self.injected_corruptions()
     }
 
-    /// Claim the next `n` ordinals at `site`, returning the first.
-    fn reserve(&self, site: FaultSite, n: u64) -> u64 {
-        // lint: allow(atomic-discipline) reason=ordinal claims only need atomicity of the RMW itself; the schedule is a pure function of (seed, ordinal), no cross-field publication
-        self.ordinals(site).fetch_add(n, Ordering::Relaxed)
-    }
-
     /// The fault planned for `(site, ordinal)`, if any — a pure function
     /// of the injector's seed and schedule.
     fn planned(&self, site: FaultSite, ordinal: u64) -> Option<FaultKind> {
@@ -275,7 +271,8 @@ impl FaultInjector {
     /// Returns `true` when the caller must corrupt the scores it is
     /// about to produce.
     fn trip(&self, site: FaultSite) -> bool {
-        let ordinal = self.reserve(site, 1);
+        // lint: allow(atomic-discipline) reason=ordinal claims only need atomicity of the RMW itself; the schedule is a pure function of (seed, ordinal), no cross-field publication
+        let ordinal = self.ordinals(site).fetch_add(1, Ordering::Relaxed);
         match self.planned(site, ordinal) {
             Some(kind) => self.fire(site, kind),
             None => false,
@@ -367,40 +364,6 @@ impl<S: ApproximateService> ApproximateService for FaultyService<S> {
         self.inner.process_synopsis_into(ctx, req, corr, out);
         if corrupt {
             corrupt_scores(corr);
-        }
-    }
-
-    /// The batch pass reserves one stage-1 ordinal per request up front,
-    /// fires every planned `Error`/`Panic`/`Stall` *before* delegating
-    /// (a leg-fatal fault planned for any request of a batch fails the
-    /// component's whole batch leg — matching the containment boundary's
-    /// per-leg granularity), then runs the wrapped service's real batch
-    /// pass and corrupts the flagged requests' scores afterwards.
-    fn process_synopsis_batch(
-        &self,
-        ctx: Ctx<'_, S::Row>,
-        reqs: &[Self::Request],
-        corrs: &mut [Vec<Correlation>],
-        outs: &mut Vec<Self::Output>,
-    ) {
-        let base = self.injector.reserve(FaultSite::Stage1, reqs.len() as u64);
-        for i in 0..reqs.len() as u64 {
-            match self.injector.planned(FaultSite::Stage1, base + i) {
-                Some(FaultKind::CorruptScores) | None => {}
-                Some(kind) => {
-                    self.injector.fire(FaultSite::Stage1, kind);
-                }
-            }
-        }
-        self.inner.process_synopsis_batch(ctx, reqs, corrs, outs);
-        for (i, corr) in corrs.iter_mut().enumerate() {
-            if self.injector.planned(FaultSite::Stage1, base + i as u64)
-                == Some(FaultKind::CorruptScores)
-            {
-                self.injector
-                    .fire(FaultSite::Stage1, FaultKind::CorruptScores);
-                corrupt_scores(corr);
-            }
         }
     }
 

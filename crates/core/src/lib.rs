@@ -16,8 +16,9 @@
 //! * [`Component`] / [`FanOutService`] — one subset + synopsis per parallel
 //!   component; [`FanOutService::serve`] is the end-to-end request
 //!   lifecycle (rayon fan-out → compose → [`ServiceResponse`] telemetry),
-//!   [`FanOutService::serve_batch`] the batched equivalent (one fan-out and
-//!   one synopsis pass per component for a whole request stream), and
+//!   [`FanOutService::serve_batch`] the batched equivalent (one fan-out
+//!   for a whole request stream, duplicates collapsed, each distinct
+//!   request run through the per-request path on every component), and
 //!   [`FanOutService::serve_with`] the heterogeneous per-component-policy
 //!   variant.
 //! * [`OutputPool`] — typed recycling of per-component output buffers, so
@@ -58,7 +59,7 @@ pub use correlation::{cmp_ranked, rank, rank_top, sections, Correlation, RankedP
 pub use fault::{FaultInjector, FaultKind, FaultRule, FaultSite, FaultyService, InjectedFault};
 pub use outcome::Outcome;
 pub use policy::{DegradationLadder, ExecutionPolicy};
-pub use pool::{batch_tile_span, prepare_outputs, OutputPool};
+pub use pool::OutputPool;
 pub use processor::{Algorithm1, ApproximateService, ComposableService, Ctx};
 pub use route::{fnv1a, Fnv1a, RouteKey};
 pub use service::{

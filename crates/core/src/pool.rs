@@ -110,17 +110,6 @@ impl<T> OutputPool<T> {
         buf
     }
 
-    /// Check up to `n` recycled buffers out into `into` (used by the batch
-    /// path to seed one buffer per request in a single lock acquisition).
-    pub fn get_up_to(&self, n: usize, into: &mut Vec<T>) {
-        let mut free = self.free_list();
-        let take = n.min(free.len());
-        let keep = free.len() - take;
-        into.extend(free.drain(keep..));
-        drop(free);
-        self.reuses.fetch_add(take, Ordering::Relaxed);
-    }
-
     /// Return a buffer for reuse; dropped silently once the retention cap
     /// is reached.
     pub fn put(&self, buf: T) {
@@ -158,97 +147,9 @@ impl<T> OutputPool<T> {
     }
 }
 
-/// Prepare `outs` as one output buffer per request of an `n`-request
-/// batch: buffers beyond `n` are dropped, recycled buffers (which may hold
-/// *any* prior request's state) are reset in place via `reset(buf, i)`,
-/// and the remainder is created fresh via `make(i)`.
-///
-/// This is the recycled-output prologue every
-/// [`ApproximateService::process_synopsis_batch`](crate::ApproximateService::process_synopsis_batch)
-/// override needs; sharing it keeps the subtle recycled-index bookkeeping
-/// in one place.
-pub fn prepare_outputs<T>(
-    outs: &mut Vec<T>,
-    n: usize,
-    mut reset: impl FnMut(&mut T, usize),
-    mut make: impl FnMut(usize) -> T,
-) {
-    outs.truncate(n);
-    for (i, out) in outs.iter_mut().enumerate() {
-        reset(out, i);
-    }
-    for i in outs.len()..n {
-        outs.push(make(i));
-    }
-}
-
-/// Pick the request-tile width for a cache-tiled
-/// [`ApproximateService::process_synopsis_batch`](crate::ApproximateService::process_synopsis_batch)
-/// pass, once per batch.
-///
-/// The batch pass streams every synopsis point past every request. Untiled,
-/// a wide batch cycles through more per-request state (profile lanes,
-/// accumulators, correlation tails) than L1 holds, so each point
-/// eviction-misses its way down the request column — tiling caps how much
-/// request state is live at once, trading one extra synopsis stream per
-/// tile for L1-resident inner iterations. `row_nnz` is the mean aggregated-row size: bigger rows
-/// mean more per-request merge state, hence narrower tiles.
-///
-/// Pure arithmetic on two integers — no clocks, no allocation; both
-/// adapters share it so the tiling heuristic stays in one place.
-pub fn batch_tile_span(n_reqs: usize, row_nnz: usize) -> usize {
-    // Budget roughly half a 32 KiB L1d for request-side state, leaving the
-    // other half to the streaming point row and the accumulator writes.
-    const L1_BUDGET_BYTES: usize = 16 * 1024;
-    // Per request per point-entry touched: value lane + mask/id overhead on
-    // the profile side plus an accumulator slot — ~24 bytes amortised.
-    const BYTES_PER_ENTRY: usize = 24;
-    let per_req = row_nnz.max(1).saturating_mul(BYTES_PER_ENTRY);
-    (L1_BUDGET_BYTES / per_req).max(4).min(n_reqs.max(1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tile_span_is_clamped_and_monotone() {
-        // Never zero, never wider than the batch.
-        assert_eq!(batch_tile_span(0, 100), 1);
-        assert_eq!(batch_tile_span(1, 0), 1);
-        assert_eq!(batch_tile_span(64, usize::MAX / 16), 4);
-        // Denser rows never widen the tile.
-        let mut last = usize::MAX;
-        for nnz in [1usize, 8, 64, 512, 4096] {
-            let t = batch_tile_span(1024, nnz);
-            assert!((1..=1024).contains(&t));
-            assert!(t <= last, "tile must shrink as rows densify");
-            last = t;
-        }
-        // Small batches are a single tile.
-        assert_eq!(batch_tile_span(3, 10_000), 3);
-    }
-
-    #[test]
-    fn prepare_outputs_resets_recycled_and_makes_fresh() {
-        let mut outs = vec![vec![9u8; 3], vec![8u8; 1], vec![7u8]];
-        // Shrinking batch: excess buffer dropped, survivors reset.
-        prepare_outputs(
-            &mut outs,
-            2,
-            |b, i| *b = vec![i as u8],
-            |i| vec![i as u8; 2],
-        );
-        assert_eq!(outs, vec![vec![0], vec![1]]);
-        // Growing batch: both recycled buffers reset, two made fresh.
-        prepare_outputs(
-            &mut outs,
-            4,
-            |b, i| *b = vec![i as u8],
-            |i| vec![i as u8; 2],
-        );
-        assert_eq!(outs, vec![vec![0], vec![1], vec![2, 2], vec![3, 3]]);
-    }
 
     #[test]
     fn cold_pool_yields_nothing() {
@@ -279,26 +180,6 @@ mod tests {
     }
 
     #[test]
-    fn get_up_to_takes_at_most_available() {
-        let pool = OutputPool::new();
-        pool.put(vec![1u8]);
-        pool.put(vec![2u8]);
-        let mut out = Vec::new();
-        pool.get_up_to(5, &mut out);
-        assert_eq!(out.len(), 2);
-        assert!(pool.is_empty());
-        assert_eq!(pool.reuses(), 2);
-        // And takes exactly n when more are idle.
-        for i in 0..4u8 {
-            pool.put(vec![i]);
-        }
-        let mut out = Vec::new();
-        pool.get_up_to(3, &mut out);
-        assert_eq!(out.len(), 3);
-        assert_eq!(pool.idle(), 1);
-    }
-
-    #[test]
     fn poisoned_pool_recovers_by_discarding_free_list() {
         let pool: OutputPool<Vec<u8>> = OutputPool::new();
         pool.put(vec![1]);
@@ -324,9 +205,6 @@ mod tests {
         // the free list is discarded (cold-pool behaviour)...
         assert!(pool.get().is_none());
         assert_eq!(pool.idle(), 0);
-        let mut out = Vec::new();
-        pool.get_up_to(4, &mut out);
-        assert!(out.is_empty());
         // ...the two idle buffers lost to recovery are accounted for...
         assert_eq!(pool.discarded_on_poison(), 2);
         // ...and the pool recycles normally from then on.

@@ -10,12 +10,12 @@
 //!   deadlines into budgets via its queueing/interference model), or the
 //!   literal wall-clock loop of Algorithm 1 (lines 4–10, checking
 //!   `l_ela < l_spe` between sets).
-//! * [`execute_batch`](Algorithm1::execute_batch) — drive a whole batch of
-//!   requests through **one** stage-1 pass over the synopsis
-//!   ([`ApproximateService::process_synopsis_batch`]), each request keeping
-//!   its own deadline/budget accounting; bit-identical to mapping
-//!   `execute` over the batch. The `*_pooled` variants recycle output
-//!   buffers through an [`OutputPool`](crate::OutputPool).
+//!   [`execute_pooled`](Algorithm1::execute_pooled) is the same run with
+//!   its output buffer recycled through an [`OutputPool`](crate::OutputPool).
+//!
+//! A request is a batch of one: batched serving
+//! ([`FanOutService::serve_batch`](crate::FanOutService::serve_batch)) runs
+//! each distinct request of a batch through this same per-request path.
 //!
 //! Ranked sets whose aggregated point has gone stale (present in the
 //! synopsis but missing from the index file) are *skipped*, not fatal:
@@ -59,11 +59,6 @@ thread_local! {
     /// Per-worker correlation scratch, reused across requests. Capacity
     /// converges to the largest synopsis this worker has served.
     static CORR_SCRATCH: RefCell<Vec<Correlation>> = const { RefCell::new(Vec::new()) };
-
-    /// Per-worker batch correlation scratch: one vector per in-flight
-    /// request of a batch, reused across batches. Grows to the largest
-    /// batch this worker has served.
-    static BATCH_SCRATCH: RefCell<Vec<Vec<Correlation>>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Run `f` with this worker's cleared correlation scratch buffer. Falls
@@ -77,29 +72,6 @@ fn with_corr_scratch<R>(f: impl FnOnce(&mut Vec<Correlation>) -> R) -> R {
             f(&mut buf)
         }
         Err(_) => f(&mut Vec::new()),
-    })
-}
-
-/// Run `f` with `n` cleared correlation scratch buffers from this worker's
-/// batch scratch (fresh vectors under re-entrancy, like
-/// [`with_corr_scratch`]).
-fn with_batch_scratch<R>(n: usize, f: impl FnOnce(&mut [Vec<Correlation>]) -> R) -> R {
-    BATCH_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut bufs) => {
-            if bufs.len() < n {
-                bufs.resize_with(n, Vec::new);
-            }
-            // lint: allow(panic-freedom) reason=bufs was resized to at least n directly above
-            for buf in &mut bufs[..n] {
-                buf.clear();
-            }
-            // lint: allow(panic-freedom) reason=bufs was resized to at least n directly above
-            f(&mut bufs[..n])
-        }
-        Err(_) => {
-            let mut fresh = vec![Vec::new(); n];
-            f(&mut fresh)
-        }
     })
 }
 
@@ -173,44 +145,6 @@ pub trait ApproximateService {
         out: &mut Self::Output,
     ) {
         *out = self.process_synopsis(ctx, req, corr);
-    }
-
-    /// Stage 1 over a whole **batch** of requests.
-    ///
-    /// Contract: after the call, `outs.len() == reqs.len()` and for every
-    /// request `i`, `(corrs[i], outs[i])` equal what
-    /// [`process_synopsis_into`](Self::process_synopsis_into) would produce
-    /// for `reqs[i]` — same correlation order, same floating-point
-    /// operation order, so batched and sequential execution are
-    /// bit-identical. `outs` arrives holding up to `reqs.len()` recycled
-    /// buffers (from an [`OutputPool`]) which must be reset and reused;
-    /// missing buffers are created fresh. `corrs` arrives with one cleared
-    /// vector per request.
-    ///
-    /// The default runs the per-request hook once per request. Services
-    /// override it to make **one pass over the synopsis shared by every
-    /// request in the batch** (outer loop over aggregated points, inner
-    /// loop over requests), which keeps each point's row hot in cache and
-    /// amortizes the pass — the paper's Storm topology processes request
-    /// *streams*, and this hook is where that amortization lives.
-    fn process_synopsis_batch(
-        &self,
-        ctx: Ctx<'_, Self::Row>,
-        reqs: &[Self::Request],
-        corrs: &mut [Vec<Correlation>],
-        outs: &mut Vec<Self::Output>,
-    ) {
-        debug_assert_eq!(reqs.len(), corrs.len());
-        outs.truncate(reqs.len());
-        let recycled = outs.len();
-        for (i, (req, corr)) in reqs.iter().zip(corrs.iter_mut()).enumerate() {
-            if i < recycled {
-                // lint: allow(panic-freedom) reason=i < recycled = outs.len() in this branch
-                self.process_synopsis_into(ctx, req, corr, &mut outs[i]);
-            } else {
-                outs.push(self.process_synopsis(ctx, req, corr));
-            }
-        }
     }
 
     /// Stage 2: improve the result using the original data points of one
@@ -290,14 +224,7 @@ impl<'a, S: ApproximateService> Algorithm1<'a, S> {
         policy: &ExecutionPolicy,
         submitted: Instant,
     ) -> Outcome<S::Output> {
-        if let ExecutionPolicy::Exact = policy {
-            return self.execute_exact(req);
-        }
-        with_corr_scratch(|corr| {
-            let mut out = self.service.process_synopsis(self.ctx, req, corr);
-            self.improve_best_first(req, policy, submitted, corr, &mut out)
-                .map(|()| out)
-        })
+        self.run(req, policy, submitted, None)
     }
 
     /// [`execute`](Self::execute), drawing the output buffer from `pool`
@@ -313,6 +240,20 @@ impl<'a, S: ApproximateService> Algorithm1<'a, S> {
         submitted: Instant,
         pool: &OutputPool<S::Output>,
     ) -> Outcome<S::Output> {
+        self.run(req, policy, submitted, Some(pool))
+    }
+
+    /// The one body behind [`execute`](Self::execute) and
+    /// [`execute_pooled`](Self::execute_pooled): stage 1 into a recycled
+    /// buffer when `pool` has one, into a fresh output otherwise, then
+    /// stage 2.
+    fn run(
+        &self,
+        req: &S::Request,
+        policy: &ExecutionPolicy,
+        submitted: Instant,
+        pool: Option<&OutputPool<S::Output>>,
+    ) -> Outcome<S::Output> {
         if let ExecutionPolicy::Exact = policy {
             // The exact baseline rebuilds its output from all original
             // data; it is not the steady-state serving path, so it is not
@@ -320,7 +261,7 @@ impl<'a, S: ApproximateService> Algorithm1<'a, S> {
             return self.execute_exact(req);
         }
         with_corr_scratch(|corr| {
-            let mut out = match pool.get() {
+            let mut out = match pool.and_then(OutputPool::get) {
                 Some(mut buf) => {
                     self.service
                         .process_synopsis_into(self.ctx, req, corr, &mut buf);
@@ -330,85 +271,6 @@ impl<'a, S: ApproximateService> Algorithm1<'a, S> {
             };
             self.improve_best_first(req, policy, submitted, corr, &mut out)
                 .map(|()| out)
-        })
-    }
-
-    /// Run a whole **batch** of requests under one `policy`, making a
-    /// single stage-1 pass over the synopsis shared by every request
-    /// ([`ApproximateService::process_synopsis_batch`]) and then improving
-    /// each request independently. `submitted[i]` is request `i`'s
-    /// submission instant, so every request keeps its own deadline/budget
-    /// accounting and its own [`Outcome`] telemetry — under clock-free
-    /// policies, batched execution is bit-identical to mapping
-    /// [`execute`](Self::execute) over the batch (a *live*
-    /// [`ExecutionPolicy::Deadline`] additionally counts time spent behind
-    /// earlier batch members, like any queueing delay).
-    ///
-    /// # Panics
-    /// Panics when `reqs` and `submitted` differ in length.
-    pub fn execute_batch(
-        &self,
-        reqs: &[S::Request],
-        policy: &ExecutionPolicy,
-        submitted: &[Instant],
-    ) -> Vec<Outcome<S::Output>> {
-        self.execute_batch_with(reqs, policy, submitted, None)
-    }
-
-    /// [`execute_batch`](Self::execute_batch) with output buffers recycled
-    /// through `pool` (one `get` per request where the pool has buffers,
-    /// fresh allocations only for the remainder).
-    pub fn execute_batch_pooled(
-        &self,
-        reqs: &[S::Request],
-        policy: &ExecutionPolicy,
-        submitted: &[Instant],
-        pool: &OutputPool<S::Output>,
-    ) -> Vec<Outcome<S::Output>> {
-        self.execute_batch_with(reqs, policy, submitted, Some(pool))
-    }
-
-    fn execute_batch_with(
-        &self,
-        reqs: &[S::Request],
-        policy: &ExecutionPolicy,
-        submitted: &[Instant],
-        pool: Option<&OutputPool<S::Output>>,
-    ) -> Vec<Outcome<S::Output>> {
-        assert_eq!(
-            reqs.len(),
-            submitted.len(),
-            "execute_batch: one submission instant per request"
-        );
-        if reqs.is_empty() {
-            return Vec::new();
-        }
-        if let ExecutionPolicy::Exact = policy {
-            return reqs.iter().map(|req| self.execute_exact(req)).collect();
-        }
-        with_batch_scratch(reqs.len(), |corrs| {
-            let mut outs = Vec::with_capacity(reqs.len());
-            if let Some(pool) = pool {
-                pool.get_up_to(reqs.len(), &mut outs);
-            }
-            self.service
-                .process_synopsis_batch(self.ctx, reqs, corrs, &mut outs);
-            // Hard contract check (O(1) per batch): a short `outs` would
-            // otherwise silently truncate the zip below and serve the
-            // tail of the batch from nothing.
-            assert_eq!(
-                outs.len(),
-                reqs.len(),
-                "process_synopsis_batch must produce one output per request"
-            );
-            outs.into_iter()
-                .zip(corrs.iter_mut())
-                .zip(reqs.iter().zip(submitted))
-                .map(|((mut out, corr), (req, &sub))| {
-                    self.improve_best_first(req, policy, sub, corr, &mut out)
-                        .map(|()| out)
-                })
-                .collect()
         })
     }
 
@@ -427,8 +289,7 @@ impl<'a, S: ApproximateService> Algorithm1<'a, S> {
     }
 
     /// Stage 2, Algorithm 1 lines 2–10: rank `corr` lazily and improve
-    /// `out` best-sets-first within `policy`'s limits. Shared by the
-    /// single-request and batch drivers so both process identical sets.
+    /// `out` best-sets-first within `policy`'s limits.
     fn improve_best_first(
         &self,
         req: &S::Request,
@@ -450,7 +311,7 @@ impl<'a, S: ApproximateService> Algorithm1<'a, S> {
                     (usize::MAX, Some(l_spe))
                 }
             }
-            // lint: allow(panic-freedom) reason=both execute drivers return via execute_exact before ranking; reaching here is a driver bug worth crashing on
+            // lint: allow(panic-freedom) reason=run returns via execute_exact before ranking; reaching here is a driver bug worth crashing on
             ExecutionPolicy::Exact => unreachable!("exact path never ranks"),
         };
         let total = corr.len();
@@ -830,10 +691,12 @@ mod tests {
         );
     }
 
-    /// The tentpole's correctness bar: the lazy-ranking `execute` must
-    /// produce an `Outcome` identical (all fields) to the eager full-sort
-    /// driver under every `ExecutionPolicy` variant, including with stale
-    /// sets forcing prefix extension past the initial bound.
+    /// The reference oracle: `execute`, and `execute_pooled` on a warm
+    /// pool whose recycled buffer holds another request's stale output,
+    /// must produce an `Outcome` identical (output bits and every counter)
+    /// to the eager full-sort driver under every `ExecutionPolicy`
+    /// variant, including with stale sets forcing prefix extension past
+    /// the initial bound.
     #[test]
     fn lazy_execute_equals_eager_for_every_policy() {
         let (data, store) = setup();
@@ -860,138 +723,37 @@ mod tests {
         let stale = StaleIndexService;
         let plain = Algorithm1::new(&data, &store, &svc);
         let staled = Algorithm1::new(&data, &store, &stale);
+        fn check<S: ApproximateService<Request = u32, Output = f64>>(
+            engine: &Algorithm1<'_, S>,
+            pool: &OutputPool<f64>,
+            policy: &ExecutionPolicy,
+            req: u32,
+        ) {
+            let submitted = Instant::now();
+            let eager = execute_eager(engine, &req, policy, submitted);
+            // A dirty buffer left by some other request.
+            pool.put(-1.0e300);
+            let runs = [
+                ("execute", engine.execute(&req, policy, submitted)),
+                (
+                    "execute_pooled",
+                    engine.execute_pooled(&req, policy, submitted, pool),
+                ),
+            ];
+            for (path, got) in runs {
+                let what = format!("{} {path} {policy:?} req {req}", std::any::type_name::<S>());
+                assert_eq!(got.output.to_bits(), eager.output.to_bits(), "{what}");
+                assert_eq!(got.stats(), eager.stats(), "{what}");
+            }
+        }
+        let pool = OutputPool::new();
         for policy in &policies {
             for req in [0u32, 3, 7] {
-                let submitted = Instant::now();
-                let lazy = plain.execute(&req, policy, submitted);
-                let eager = execute_eager(&plain, &req, policy, submitted);
-                assert_eq!(lazy.output, eager.output, "{policy:?} req {req}");
-                assert_eq!(lazy.sets_processed, eager.sets_processed, "{policy:?}");
-                assert_eq!(lazy.sets_total, eager.sets_total, "{policy:?}");
-                assert_eq!(lazy.sets_skipped, eager.sets_skipped, "{policy:?}");
-
-                let lazy = staled.execute(&req, policy, submitted);
-                let eager = execute_eager(&staled, &req, policy, submitted);
-                assert_eq!(lazy.output, eager.output, "stale {policy:?} req {req}");
-                assert_eq!(
-                    lazy.sets_processed, eager.sets_processed,
-                    "stale {policy:?}"
-                );
-                assert_eq!(lazy.sets_total, eager.sets_total, "stale {policy:?}");
-                assert_eq!(lazy.sets_skipped, eager.sets_skipped, "stale {policy:?}");
+                check(&plain, &pool, policy, req);
+                check(&staled, &pool, policy, req);
             }
         }
-    }
-
-    /// Every policy the deterministic drivers can be compared under (live
-    /// deadlines excluded except the generous/expired extremes).
-    fn deterministic_policies() -> Vec<ExecutionPolicy> {
-        vec![
-            ExecutionPolicy::Exact,
-            ExecutionPolicy::SynopsisOnly,
-            ExecutionPolicy::budgeted(0),
-            ExecutionPolicy::budgeted(2),
-            ExecutionPolicy::budgeted(usize::MAX),
-            ExecutionPolicy::Budgeted {
-                sets: usize::MAX,
-                imax: Some(3),
-            },
-            ExecutionPolicy::deadline(Duration::from_secs(600)),
-            ExecutionPolicy::deadline(Duration::from_nanos(1)),
-        ]
-    }
-
-    #[test]
-    fn execute_batch_equals_mapped_execute_for_every_policy() {
-        let (data, store) = setup();
-        let svc = SumService;
-        let stale = StaleIndexService;
-        let plain = Algorithm1::new(&data, &store, &svc);
-        let staled = Algorithm1::new(&data, &store, &stale);
-        let reqs: Vec<u32> = vec![0, 3, 7, 3, 11];
-        for policy in deterministic_policies() {
-            let submitted = vec![Instant::now(); reqs.len()];
-            let batch = plain.execute_batch(&reqs, &policy, &submitted);
-            assert_eq!(batch.len(), reqs.len());
-            for ((req, &sub), got) in reqs.iter().zip(&submitted).zip(&batch) {
-                let want = plain.execute(req, &policy, sub);
-                assert_eq!(got.output, want.output, "{policy:?} req {req}");
-                assert_eq!(got.stats(), want.stats(), "{policy:?} req {req}");
-            }
-            let batch = staled.execute_batch(&reqs, &policy, &submitted);
-            for ((req, &sub), got) in reqs.iter().zip(&submitted).zip(&batch) {
-                let want = staled.execute(req, &policy, sub);
-                assert_eq!(got.output, want.output, "stale {policy:?} req {req}");
-                assert_eq!(got.stats(), want.stats(), "stale {policy:?} req {req}");
-            }
-        }
-    }
-
-    #[test]
-    fn execute_batch_accounts_deadlines_per_request() {
-        let (data, store) = setup();
-        let svc = SumService;
-        let engine = Algorithm1::new(&data, &store, &svc);
-        let policy = ExecutionPolicy::deadline(Duration::from_secs(30));
-        // Request 1 was queued past its whole deadline; requests 0 and 2
-        // are fresh — only the expired one must degrade to synopsis-only.
-        let now = Instant::now();
-        let Some(past) = now.checked_sub(Duration::from_secs(60)) else {
-            return; // monotonic clock younger than the offset (fresh boot)
-        };
-        let submitted = vec![now, past, now];
-        let batch = engine.execute_batch(&[2u32, 2, 2], &policy, &submitted);
-        assert_eq!(batch[0].sets_processed, batch[0].sets_total);
-        assert_eq!(batch[1].sets_processed, 0, "expired request does no work");
-        assert_eq!(batch[2].sets_processed, batch[2].sets_total);
-    }
-
-    #[test]
-    #[should_panic(expected = "one submission instant per request")]
-    fn execute_batch_length_mismatch_panics() {
-        let (data, store) = setup();
-        let svc = SumService;
-        let engine = Algorithm1::new(&data, &store, &svc);
-        engine.execute_batch(&[1u32, 2], &ExecutionPolicy::budgeted(1), &[Instant::now()]);
-    }
-
-    #[test]
-    fn execute_batch_empty_is_empty() {
-        let (data, store) = setup();
-        let svc = SumService;
-        let engine = Algorithm1::new(&data, &store, &svc);
-        assert!(engine
-            .execute_batch(&[], &ExecutionPolicy::budgeted(1), &[])
-            .is_empty());
-    }
-
-    #[test]
-    fn pooled_execution_recycles_and_matches_unpooled() {
-        let (data, store) = setup();
-        let svc = SumService;
-        let engine = Algorithm1::new(&data, &store, &svc);
-        let pool = crate::OutputPool::new();
-        let reqs: Vec<u32> = vec![1, 4, 9];
-        let submitted = vec![Instant::now(); reqs.len()];
-        for policy in deterministic_policies() {
-            // Two rounds: the first warms the pool, the second reuses.
-            for _ in 0..2 {
-                let batch = engine.execute_batch_pooled(&reqs, &policy, &submitted, &pool);
-                for ((req, &sub), got) in reqs.iter().zip(&submitted).zip(batch) {
-                    let want = engine.execute(req, &policy, sub);
-                    assert_eq!(got.output, want.output, "{policy:?} req {req}");
-                    assert_eq!(got.stats(), want.stats(), "{policy:?} req {req}");
-                    pool.put(got.output);
-                }
-                let single = engine.execute_pooled(&reqs[0], &policy, submitted[0], &pool);
-                assert_eq!(
-                    single.output,
-                    engine.execute(&reqs[0], &policy, submitted[0]).output
-                );
-                pool.put(single.output);
-            }
-        }
-        assert!(pool.reuses() > 0, "warm pool must have served buffers");
+        assert!(pool.reuses() > 0, "the warm pool must have served buffers");
     }
 
     #[test]

@@ -15,16 +15,16 @@
 //! with aggregated telemetry ([`ServiceResponse`]).
 //!
 //! Request *streams* go through [`FanOutService::serve_batch`]: one
-//! fan-out and one per-component synopsis pass cover the whole batch, each
-//! request keeping its own submission instant, policy accounting, and
-//! telemetry — provably identical to serving the requests one at a time
-//! under every clock-free policy (live deadlines additionally count time
-//! spent waiting behind the batch, like any queueing delay).
+//! fan-out covers the whole batch, and each component leg runs every
+//! distinct request through the per-request path in turn, each keeping its
+//! own submission instant, policy accounting, and telemetry — provably
+//! identical to serving the requests one at a time under every clock-free
+//! policy (live deadlines additionally count time spent waiting behind
+//! earlier requests of the batch, like any queueing delay).
 //! [`FanOutService::serve_with`] drives heterogeneous per-component
 //! policies through the same plumbing. Output buffers are recycled across
 //! all of these via the service's [`OutputPool`].
 
-use std::borrow::Cow;
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -508,19 +508,20 @@ where
 
     /// Serve a whole **batch** of requests end to end under one policy,
     /// all treated as submitted now. One fan-out covers the entire batch:
-    /// each component worker makes a single stage-1 pass over its synopsis
-    /// shared by every request
-    /// ([`ApproximateService::process_synopsis_batch`]), then improves and
-    /// composes each request independently. Under
+    /// each component leg runs the batch's distinct requests one after
+    /// another through [`Component::execute_pooled`] (a request is a batch
+    /// of one), then each request is composed independently. Under
     /// [clock-free](ExecutionPolicy::is_clock_free) policies (and the
     /// degenerate deadline cases — already expired, or generous enough to
     /// improve everything), responses and telemetry are identical to
     /// mapping [`serve`](Self::serve) over the batch, at a fraction of the
-    /// fan-out and allocation cost. A *live* `Deadline` races the shared
-    /// batch pass against each request's own clock: every request keeps
-    /// its own accounting, but late-in-batch requests see more elapsed
-    /// time than they would served alone — exactly the paper's queueing
-    /// semantics, where waiting behind a batch *is* queueing delay.
+    /// fan-out and allocation cost. A *live* `Deadline` counts the time a
+    /// request waits behind earlier requests of its leg against its own
+    /// clock: every request keeps its own accounting, but late-in-batch
+    /// requests see more elapsed time than they would served alone —
+    /// exactly the paper's queueing semantics, where waiting behind a
+    /// batch *is* queueing delay. A request waits only for the requests
+    /// ahead of it, never for the stage 1 of those behind it.
     ///
     /// Under a [clock-free](ExecutionPolicy::is_clock_free) policy,
     /// duplicate requests in the batch are **collapsed**: services are
@@ -573,7 +574,7 @@ where
     /// let cfg = SynopsisConfig { size_ratio: 10, ..SynopsisConfig::default() };
     /// let service = FanOutService::build(subsets, AggregationMode::Mean, cfg, || CountRows);
     ///
-    /// // A burst of four requests shares one fan-out and synopsis pass.
+    /// // A burst of four equal requests shares one fan-out and is served once.
     /// let batch = vec![(); 4];
     /// let policy = ExecutionPolicy::budgeted(usize::MAX);
     /// let responses = service.serve_batch(&batch, &policy);
@@ -591,7 +592,7 @@ where
     ) -> Vec<ServiceResponse<S::Response>>
     where
         S: ComposableService,
-        S::Request: Clone + PartialEq + RouteKey,
+        S::Request: PartialEq + RouteKey,
     {
         let submitted = vec![clock::now(); reqs.len()];
         self.serve_batch_at(reqs, policy, &submitted)
@@ -611,7 +612,7 @@ where
     ) -> Vec<ServiceResponse<S::Response>>
     where
         S: ComposableService,
-        S::Request: Clone + PartialEq + RouteKey,
+        S::Request: PartialEq + RouteKey,
     {
         assert_eq!(
             reqs.len(),
@@ -622,15 +623,10 @@ where
             return Vec::new();
         }
         // Batch-of-one fast path: collapse scanning, unique-index
-        // bookkeeping, pooled batch buffers and the regroup/compose passes
-        // all exist to share work *between* requests — with one request
-        // there is nothing to share, so delegate straight to the single-
-        // request path. `serve_at` runs the identical per-component op
-        // sequence (`execute_pooled` ≡ `execute_batch_pooled` at width 1,
-        // proptest-pinned by `serve_batch_equals_mapped_serve`), so the
-        // response is the same — this branch only sheds the batch
-        // bookkeeping that made serve_batch_1 measurably slower than a
-        // bare serve.
+        // bookkeeping and the regroup/compose passes all exist to share
+        // work *between* requests — with one request there is nothing to
+        // share, so delegate straight to the single-request path, which
+        // runs the same `execute_pooled` per component.
         if reqs.len() == 1 {
             if let (Some(req), Some(&sub)) = (reqs.first(), submitted.first()) {
                 return vec![self.serve_at(req, policy, sub)];
@@ -644,24 +640,14 @@ where
         } else {
             ((0..reqs.len()).collect(), (0..reqs.len()).collect())
         };
-        let (unique_reqs, unique_submitted): (Cow<[S::Request]>, Cow<[Instant]>) =
-            if firsts.len() < reqs.len() {
-                (
-                    // lint: allow(panic-freedom) reason=firsts holds indices of reqs by construction
-                    firsts.iter().map(|&i| reqs[i].clone()).collect(),
-                    // lint: allow(panic-freedom) reason=firsts holds indices of reqs; reqs.len() == submitted.len() asserted above
-                    firsts.iter().map(|&i| submitted[i]).collect(),
-                )
-            } else {
-                (Cow::Borrowed(reqs), Cow::Borrowed(submitted))
-            };
 
         // One fan-out for the whole (collapsed) batch: `per_component[c][u]`
         // is component c's outcome for unique request u — or `None` for
         // the whole leg when component c failed (contained panic) or was
-        // skipped by its open breaker. A leg-fatal fault planned for any
-        // request of the batch fails the component's whole batch leg:
-        // containment is per-leg, not per-request.
+        // skipped by its open breaker. A leg runs its requests in order,
+        // so a leg-fatal fault at one request fails the component's whole
+        // batch leg, and the requests after it never run: containment is
+        // per-leg, not per-request.
         let pool = &self.pool;
         let per_component: Vec<Option<Vec<Outcome<S::Output>>>> = self
             .components
@@ -669,7 +655,14 @@ where
             .enumerate()
             .map(|(ci, c)| {
                 self.leg(ci, || {
-                    c.execute_batch_pooled(&unique_reqs, policy, &unique_submitted, pool)
+                    // `firsts` holds indices of `reqs`, whose length
+                    // `submitted` shares (asserted above): every `get` hits.
+                    firsts
+                        .iter()
+                        .filter_map(|&i| {
+                            Some(c.execute_pooled(reqs.get(i)?, policy, *submitted.get(i)?, pool))
+                        })
+                        .collect()
                 })
             })
             .collect();
@@ -690,11 +683,12 @@ where
         {
             match leg_outcomes {
                 Some(outcomes) => {
-                    for (u, outcome) in outcomes.into_iter().enumerate() {
-                        // lint: allow(panic-freedom) reason=execute_batch returns one outcome per unique request, so u < firsts.len()
-                        telemetry[u].push(outcome.stats());
-                        // lint: allow(panic-freedom) reason=execute_batch returns one outcome per unique request, so u < firsts.len()
-                        parts[u].push(outcome.output);
+                    // One outcome per unique request, in unique order.
+                    for ((outcome, rows), unique_parts) in
+                        outcomes.into_iter().zip(&mut telemetry).zip(&mut parts)
+                    {
+                        rows.push(outcome.stats());
+                        unique_parts.push(outcome.output);
                     }
                 }
                 None => {

@@ -6,10 +6,11 @@
 //! telemetry identical to mapping `serve_at` over the requests one at a
 //! time — including stale-set skips (a service whose top-ranked set has no
 //! index entry), tie ordering, and NaN correlation scores. Two fixtures
-//! run every case: one service overriding the batch/pooling hooks (the
-//! amortized single-pass path) and one on the trait defaults. A third
-//! hashes every request of a given length to the same `RouteKey`, so the
-//! duplicate collapse's collision handling runs under every policy too.
+//! run every case: one service overriding the pooling hook
+//! (`process_synopsis_into`, like a production adapter) and one on the
+//! trait defaults. A third hashes every request of a given length to the
+//! same `RouteKey`, so the duplicate collapse's collision handling runs
+//! under every policy too.
 
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -25,7 +26,7 @@ use proptest::prelude::*;
 /// component sums those columns over its processed rows. Scores inject
 /// ties (coarse quantization) and NaN (column 0 of an empty row sum is
 /// still finite, so NaN is injected explicitly for one node id pattern).
-/// Overrides the batch and pooling hooks like a production adapter.
+/// Overrides the pooling hook like a production adapter.
 struct ColumnSum;
 
 /// Correlation score of an aggregated point for a request: the point's
@@ -87,27 +88,6 @@ impl ApproximateService for ColumnSum {
         reset_out(out, req);
         for p in ctx.store.synopsis().iter() {
             synopsis_step(p, req, corr, out);
-        }
-    }
-
-    fn process_synopsis_batch(
-        &self,
-        ctx: Ctx<'_>,
-        reqs: &[Vec<u32>],
-        corrs: &mut [Vec<Correlation>],
-        outs: &mut Vec<Vec<f64>>,
-    ) {
-        at_core::prepare_outputs(
-            outs,
-            reqs.len(),
-            |out, i| reset_out(out, &reqs[i]),
-            |i| vec![0.0; reqs[i].len()],
-        );
-        // The shared single pass: aggregated points outer, requests inner.
-        for (p, _) in ctx.store.synopsis().points_with_stats() {
-            for ((req, corr), out) in reqs.iter().zip(corrs.iter_mut()).zip(outs.iter_mut()) {
-                synopsis_step(p, req, corr, out);
-            }
         }
     }
 
@@ -428,8 +408,8 @@ where
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Batched == sequential for a service overriding the batch/pooling
-    /// hooks (the amortized single-pass adapter shape).
+    /// Batched == sequential for a service overriding the pooling hook
+    /// (the production adapter shape).
     #[test]
     fn serve_batch_equals_mapped_serve_overridden_hooks(
         batch in batches(),

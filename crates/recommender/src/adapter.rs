@@ -33,49 +33,10 @@ use crate::ratings::ActiveUser;
 /// kernels are bit-identical to the scalar merges, so the layout is purely
 /// a perf decision.
 ///
-/// Batch-aware: `process_synopsis_batch` makes **one** pass over the
-/// synopsis shared by every request of a batch (aggregated users outer,
-/// requests inner — bit-identical to the per-request pass), cache-tiled
-/// over the request dimension so a tile's accumulators stay L1-resident
-/// across the whole synopsis stream, and `process_synopsis_into` resets
-/// recycled accumulator buffers in place so pooled serving allocates
-/// nothing for outputs.
+/// `process_synopsis_into` resets recycled accumulator buffers in place,
+/// so pooled serving allocates nothing for outputs.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CfService;
-
-/// Reset a (possibly recycled) accumulator to one zeroed slot per target.
-fn reset_acc(acc: &mut Vec<PredictionAcc>, req: &ActiveUser) {
-    acc.clear();
-    acc.resize(req.targets.len(), PredictionAcc::default());
-}
-
-/// Process one aggregated user for one request: push its correlation
-/// estimate and fold its estimated contribution into the accumulator. The
-/// single op sequence shared by the per-request and batched stage-1 passes,
-/// so both produce bit-identical results.
-fn synopsis_step(
-    req: &ActiveUser,
-    p: &at_synopsis::AggregatedPoint<BlockedRow>,
-    stats: at_linalg::RowStats,
-    corr: &mut Vec<Correlation>,
-    acc: &mut [PredictionAcc],
-) {
-    // One weight per aggregated user: it is both the correlation
-    // estimate c_i and the prediction weight.
-    let (w, _) = user_weight_indexed(req.profile(), &p.info);
-    corr.push(Correlation {
-        node: p.node,
-        score: w.abs(),
-    });
-    accumulate_neighbor_indexed(
-        req.target_set(),
-        &p.info,
-        w,
-        stats.mean(),
-        p.member_count as f64,
-        acc,
-    );
-}
 
 impl ApproximateService for CfService {
     type Row = BlockedRow;
@@ -101,55 +62,27 @@ impl ApproximateService for CfService {
         corr: &mut Vec<Correlation>,
         out: &mut Self::Output,
     ) {
-        reset_acc(out, req);
+        // A recycled buffer may hold any earlier request's sums.
+        out.clear();
+        out.resize(req.targets.len(), PredictionAcc::default());
         let synopsis = ctx.store.synopsis();
         corr.reserve(synopsis.len());
         for (p, stats) in synopsis.points_with_stats() {
-            synopsis_step(req, p, *stats, corr, out);
-        }
-    }
-
-    fn process_synopsis_batch(
-        &self,
-        ctx: Ctx<'_, BlockedRow>,
-        reqs: &[ActiveUser],
-        corrs: &mut [Vec<Correlation>],
-        outs: &mut Vec<Self::Output>,
-    ) {
-        at_core::prepare_outputs(
-            outs,
-            reqs.len(),
-            |out, i| reset_acc(out, &reqs[i]),
-            // lint: allow(hot-path-alloc) reason=pool-miss fallback, runs once per buffer ever in flight; warm batches take the reset branch
-            |i| vec![PredictionAcc::default(); reqs[i].targets.len()],
-        );
-        let synopsis = ctx.store.synopsis();
-        let points = synopsis.points_with_stats();
-        for corr in corrs.iter_mut() {
-            corr.reserve(points.len());
-        }
-        // Cache-tiled pass: requests are cut into tiles sized once per
-        // batch (from the batch width and the mean aggregated-row nnz) so
-        // one tile's accumulators and profiles stay L1-resident while the
-        // whole synopsis streams past; within a tile the loop is still
-        // points-outer/requests-inner, so every request sees every point
-        // in node-id order and the per-request op order matches
-        // `process_synopsis_into` exactly — tiling moves no FP bits.
-        let total_nnz: usize = points.iter().map(|(_, s)| s.nnz).sum();
-        let tile = at_core::batch_tile_span(reqs.len(), total_nnz / points.len().max(1));
-        let mut start = 0usize;
-        while start < reqs.len() {
-            let end = (start + tile).min(reqs.len());
-            for (p, stats) in points {
-                for ((req, corr), out) in reqs[start..end]
-                    .iter()
-                    .zip(corrs[start..end].iter_mut())
-                    .zip(outs[start..end].iter_mut())
-                {
-                    synopsis_step(req, p, *stats, corr, out);
-                }
-            }
-            start = end;
+            // One weight per aggregated user: it is both the correlation
+            // estimate c_i and the prediction weight.
+            let (w, _) = user_weight_indexed(req.profile(), &p.info);
+            corr.push(Correlation {
+                node: p.node,
+                score: w.abs(),
+            });
+            accumulate_neighbor_indexed(
+                req.target_set(),
+                &p.info,
+                w,
+                stats.mean(),
+                p.member_count as f64,
+                out,
+            );
         }
     }
 
@@ -419,21 +352,17 @@ mod tests {
     }
 
     #[test]
-    fn batched_stage1_is_bit_identical_to_per_request() {
+    fn stage1_into_a_dirty_buffer_is_bit_identical_to_fresh() {
         let (c, data) = component();
         let svc = CfService;
-        let reqs: Vec<ActiveUser> = [(3u32, vec![1, 5]), (10, vec![2]), (21, vec![0, 3, 6])]
-            .into_iter()
-            .map(|(u, t)| active(&data, u, t))
-            .collect();
-        let mut corrs = vec![Vec::new(); reqs.len()];
-        // Seed one recycled buffer (stale contents) to prove the reset.
-        let mut outs = vec![vec![PredictionAcc { num: 9.0, den: 9.0 }; 7]];
-        svc.process_synopsis_batch(c.ctx(), &reqs, &mut corrs, &mut outs);
-        assert_eq!(outs.len(), reqs.len());
-        for ((req, corr), out) in reqs.iter().zip(&corrs).zip(&outs) {
+        for (user, targets) in [(3u32, vec![1, 5]), (10, vec![2]), (21, vec![0, 3, 6])] {
+            let req = active(&data, user, targets);
             let mut want_corr = Vec::new();
-            let want_out = svc.process_synopsis(c.ctx(), req, &mut want_corr);
+            let want_out = svc.process_synopsis(c.ctx(), &req, &mut want_corr);
+            // A recycled buffer with another request's stale sums.
+            let mut out = vec![PredictionAcc { num: 9.0, den: 9.0 }; 7];
+            let mut corr = Vec::new();
+            svc.process_synopsis_into(c.ctx(), &req, &mut corr, &mut out);
             assert_eq!(corr.len(), want_corr.len());
             for (a, b) in corr.iter().zip(&want_corr) {
                 assert_eq!(a.node, b.node);

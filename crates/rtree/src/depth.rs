@@ -80,19 +80,6 @@ impl RTree {
         }
         out
     }
-
-    /// Number of items beneath `node` without materializing them.
-    pub fn count_under(&self, node: NodeId) -> usize {
-        let mut n = 0usize;
-        let mut stack = vec![node];
-        while let Some(id) = stack.pop() {
-            match &self.node(id).kind {
-                NodeKind::Leaf(entries) => n += entries.len(),
-                NodeKind::Internal(children) => stack.extend(children.iter().copied()),
-            }
-        }
-        n
-    }
 }
 
 #[cfg(test)]
@@ -138,7 +125,6 @@ mod tests {
         let mut all = t.items_under(t.root());
         all.sort_unstable();
         assert_eq!(all, (0..120u64).collect::<Vec<_>>());
-        assert_eq!(t.count_under(t.root()), 120);
     }
 
     #[test]

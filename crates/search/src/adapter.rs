@@ -63,10 +63,8 @@ impl RouteKey for SearchRequest {
 /// changes them. Pages and merged pages are stored as [`CountRow`]s, and
 /// both stages score them with [`InvertedIndex::score_query`].
 ///
-/// Batch-aware: `process_synopsis_batch` scores each aggregated page
-/// against every query of a batch in one shared synopsis pass, and
 /// `process_synopsis_into` resets recycled [`TopK`] heaps in place
-/// ([`TopK::reset`]) so pooled serving allocates nothing for outputs.
+/// ([`TopK::reset`]), so pooled serving allocates nothing for outputs.
 #[derive(Clone, Debug)]
 pub struct SearchService {
     index: InvertedIndex,
@@ -128,51 +126,6 @@ impl ApproximateService for SearchService {
                     .score_query(p.info.cols(), p.info.counts(), s.sum, &req.terms),
             }
         }));
-    }
-
-    fn process_synopsis_batch(
-        &self,
-        ctx: Ctx<'_, CountRow>,
-        reqs: &[SearchRequest],
-        corrs: &mut [Vec<Correlation>],
-        outs: &mut Vec<Self::Output>,
-    ) {
-        at_core::prepare_outputs(
-            outs,
-            reqs.len(),
-            |out, _| out.reset(self.k),
-            |_| TopK::new(self.k),
-        );
-        let points = ctx.store.synopsis().points_with_stats();
-        for corr in corrs.iter_mut() {
-            corr.reserve(points.len());
-        }
-        // Cache-tiled pass over the synopsis: the aggregated pages stream
-        // past one *tile* of queries at a time, so the tile's term lists
-        // and correlation tails stay L1-resident while each merged row is
-        // hot. Every query still sees every point in node-id order — the
-        // per-request op order matches `process_synopsis_into` exactly,
-        // tiling moves no FP bits.
-        let total_nnz: usize = points.iter().map(|(_, s)| s.nnz).sum();
-        let tile = at_core::batch_tile_span(reqs.len(), total_nnz / points.len().max(1));
-        let mut start = 0usize;
-        while start < reqs.len() {
-            let end = (start + tile).min(reqs.len());
-            for (p, s) in points {
-                for (req, corr) in reqs[start..end].iter().zip(corrs[start..end].iter_mut()) {
-                    corr.push(Correlation {
-                        node: p.node,
-                        score: self.index.score_query(
-                            p.info.cols(),
-                            p.info.counts(),
-                            s.sum,
-                            &req.terms,
-                        ),
-                    });
-                }
-            }
-            start = end;
-        }
     }
 
     fn improve(
@@ -405,20 +358,18 @@ mod tests {
     }
 
     #[test]
-    fn batched_stage1_is_bit_identical_to_per_request() {
+    fn stage1_into_a_dirty_buffer_is_bit_identical_to_fresh() {
         let (c, corpus) = component();
         let svc = c.service();
-        let reqs: Vec<SearchRequest> = (0..4u64).map(|s| some_query(&corpus, s)).collect();
-        let mut corrs = vec![Vec::new(); reqs.len()];
-        // Seed one recycled heap (stale contents) to prove the reset.
-        let mut stale = TopK::new(3);
-        stale.push(42, 9.0);
-        let mut outs = vec![stale];
-        svc.process_synopsis_batch(c.ctx(), &reqs, &mut corrs, &mut outs);
-        assert_eq!(outs.len(), reqs.len());
-        for ((req, corr), out) in reqs.iter().zip(&corrs).zip(&outs) {
+        for seed in 0..4u64 {
+            let req = some_query(&corpus, seed);
             let mut want_corr = Vec::new();
-            let want_out = svc.process_synopsis(c.ctx(), req, &mut want_corr);
+            let want_out = svc.process_synopsis(c.ctx(), &req, &mut want_corr);
+            // A recycled heap with another request's stale hit and k.
+            let mut out = TopK::new(3);
+            out.push(42, 9.0);
+            let mut corr = Vec::new();
+            svc.process_synopsis_into(c.ctx(), &req, &mut corr, &mut out);
             assert_eq!(corr.len(), want_corr.len());
             for (a, b) in corr.iter().zip(&want_corr) {
                 assert_eq!(a.node, b.node);

@@ -58,16 +58,6 @@ impl Vocabulary {
     pub fn is_empty(&self) -> bool {
         self.tokens.is_empty()
     }
-
-    /// Tokenize `text` and intern every token, returning `(term, count)`
-    /// pairs sorted by term — a page's feature row.
-    pub fn index_text(&mut self, text: &str) -> Vec<(u32, f64)> {
-        let mut counts: std::collections::BTreeMap<u32, f64> = std::collections::BTreeMap::new();
-        for tok in tokenize(text) {
-            *counts.entry(self.intern(&tok)).or_insert(0.0) += 1.0;
-        }
-        counts.into_iter().collect()
-    }
 }
 
 #[cfg(test)]
@@ -93,18 +83,5 @@ mod tests {
         assert_eq!(v.len(), 2);
         assert_eq!(v.token(a), Some("apple"));
         assert_eq!(v.get("cherry"), None);
-    }
-
-    #[test]
-    fn index_text_counts_terms() {
-        let mut v = Vocabulary::new();
-        let row = v.index_text("the cat and the hat");
-        let the = v.get("the").unwrap();
-        let entry = row.iter().find(|(t, _)| *t == the).unwrap();
-        assert_eq!(entry.1, 2.0);
-        assert_eq!(row.len(), 4); // the, cat, and, hat
-        for w in row.windows(2) {
-            assert!(w[0].0 < w[1].0);
-        }
     }
 }

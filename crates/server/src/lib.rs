@@ -21,9 +21,9 @@
 //!   [`max_batch`](ServerConfig::max_batch) requests, groups each batch
 //!   by [`ExecutionPolicy`], and drives one
 //!   [`FanOutService::serve_batch_at`](at_core::FanOutService::serve_batch_at)
-//!   call per group — one fan-out and one shared synopsis pass per
-//!   component for the whole micro-batch, with duplicate requests
-//!   collapsed under clock-free policies.
+//!   call per group — one fan-out for the whole micro-batch, each
+//!   component running the group's distinct requests in turn, with
+//!   duplicate requests collapsed under clock-free policies.
 //! * **Per-request completion handles.** Each submission's [`Ticket`] is
 //!   a oneshot: block on it ([`Ticket::wait`]), poll it
 //!   ([`Ticket::try_take`]), or `.await` it ([`Ticket`] implements
@@ -141,8 +141,8 @@ pub struct ServerConfig {
     /// [`Server::try_submit`] bounces with [`SubmitError::Busy`].
     pub queue_capacity: usize,
     /// Most requests per dispatched micro-batch. Larger batches amortize
-    /// the fan-out and synopsis pass further but make late-in-batch
-    /// `Deadline` requests wait longer behind their batch.
+    /// the fan-out further but make late-in-batch `Deadline` requests
+    /// wait longer behind their batch.
     pub max_batch: usize,
     /// Samples kept in the sliding telemetry window backing
     /// [`LoadSnapshot`] (and [`ServerStats::mean_queue_wait`]): large

@@ -44,11 +44,6 @@ impl LatencyRecorder {
         self.percentile_ms(99.9)
     }
 
-    /// Mean latency (ms).
-    pub fn mean_ms(&self) -> f64 {
-        at_linalg::stats::mean(&self.samples) * 1000.0
-    }
-
     /// Raw samples (seconds).
     pub fn samples(&self) -> &[f64] {
         &self.samples
@@ -122,7 +117,6 @@ mod tests {
         }
         assert!((r.percentile_ms(50.0) - 50.5).abs() < 0.5);
         assert!(r.p999_ms() > 99.0);
-        assert!((r.mean_ms() - 50.5).abs() < 0.01);
         assert_eq!(r.len(), 100);
     }
 

@@ -38,11 +38,6 @@ impl Reducer {
         self.model.row_vector(id as usize)
     }
 
-    /// Number of rows the reducer was fitted on.
-    pub fn fitted_rows(&self) -> usize {
-        self.model.row_factors().rows()
-    }
-
     /// Project new or changed rows into the latent space (fold-in): row
     /// `i` of the result is the reduced vector of `rows[i]`. Each row's
     /// projection depends on that row alone, so a batch projects exactly
@@ -83,7 +78,7 @@ mod tests {
         let d = dataset();
         let r = Reducer::fit(&d, SvdConfig::default().with_dims(3).with_epochs(30));
         assert_eq!(r.dims(), 3);
-        assert_eq!(r.fitted_rows(), 24);
+        assert_eq!(r.model().row_factors().rows(), 24);
         assert_eq!(r.reduced(0).len(), 3);
     }
 

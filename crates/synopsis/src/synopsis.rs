@@ -93,12 +93,6 @@ impl<R: Row> Synopsis<R> {
         self.points.is_empty()
     }
 
-    /// Total stored entries across all aggregated rows (a size proxy for
-    /// the "sufficiently small" requirement).
-    pub fn total_entries(&self) -> usize {
-        self.points.iter().map(|(_, s)| s.nnz).sum()
-    }
-
     /// The aggregated point cut from `node`, if present.
     pub fn point(&self, node: NodeId) -> Option<&AggregatedPoint<R>> {
         self.position(node).ok().map(|i| &self.points[i].0)
@@ -239,17 +233,5 @@ mod tests {
             assert_eq!(st_it.sum, st_sl.sum);
             assert_eq!(st_it.nnz, st_sl.nnz);
         }
-    }
-
-    #[test]
-    fn total_entries_sums_rows() {
-        let mut s = Synopsis::<SparseRow>::new(AggregationMode::Mean);
-        s.upsert(AggregatedPoint {
-            node: NodeId::from_index(0),
-            info: SparseRow::from_pairs(vec![(0, 1.0), (3, 1.0)]),
-            member_count: 2,
-        });
-        s.upsert(pt(1, 1));
-        assert_eq!(s.total_entries(), 3);
     }
 }

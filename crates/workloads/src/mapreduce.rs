@@ -155,12 +155,6 @@ impl InterferenceTrace {
         }
         s.min(1.4)
     }
-
-    /// Mean slowdown over all nodes at time `t` (diagnostics).
-    pub fn mean_slowdown(&self, t: f64) -> f64 {
-        let sum: f64 = (0..self.n_nodes()).map(|n| self.slowdown(n, t)).sum();
-        sum / self.n_nodes() as f64
-    }
 }
 
 #[cfg(test)]
@@ -251,6 +245,8 @@ mod tests {
             },
             100.0,
         );
-        assert_eq!(t.mean_slowdown(50.0), 1.0);
+        for node in 0..t.n_nodes() {
+            assert_eq!(t.slowdown(node, 50.0), 1.0);
+        }
     }
 }

@@ -23,7 +23,8 @@
 //! sets, wall-clock elapsed) in the returned
 //! [`ServiceResponse`](crate::core::ServiceResponse). Request *streams*
 //! ride [`FanOutService::serve_batch`](crate::core::FanOutService::serve_batch):
-//! one fan-out and one synopsis pass per component cover the whole batch
+//! one fan-out covers the whole batch, and each component runs the
+//! batch's distinct requests through the per-request path in turn
 //! (duplicate requests collapsed under clock-free policies, outputs
 //! recycled through an [`OutputPool`](crate::core::OutputPool)), provably
 //! equivalent to serving the requests one at a time. The async front end

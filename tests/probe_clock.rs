@@ -5,7 +5,7 @@
 //! relaxed read counter makes the clock-free contract observable. This
 //! probe pins the exact read counts:
 //!
-//! * component-level `execute_batch` under a clock-free policy performs
+//! * component-level `execute` under a clock-free policy performs
 //!   **zero** reads — policy decisions cannot depend on wall time, which
 //!   is what makes duplicate collapsing and deterministic replay sound;
 //! * `serve_batch_at` under a clock-free policy reads exactly once per
@@ -18,6 +18,7 @@
 //! thread may tick it mid-measurement. One component keeps the rayon
 //! shim inline and the counts exact.
 
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use at_bench::deployments::{build_recommender, DeployScale};
@@ -54,12 +55,13 @@ fn clock_free_policies_never_read_the_clock() {
         },
     ] {
         let r = clock::reads();
-        let outs = comp.execute_batch(&batch, &policy, &submitted);
-        assert_eq!(outs.len(), batch.len());
+        for (req, &sub) in batch.iter().zip(&submitted) {
+            black_box(comp.execute(req, &policy, sub));
+        }
         assert_eq!(
             clock::reads() - r,
             0,
-            "{policy:?} is clock-free but execute_batch read the clock — \
+            "{policy:?} is clock-free but execute read the clock — \
              a clock-discipline regression the static pass missed"
         );
     }

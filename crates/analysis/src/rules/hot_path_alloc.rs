@@ -3,7 +3,7 @@
 //! The serving stack's steady-state hot path (Pearson scoring, stage-2
 //! best-first improvement, synopsis processing, the output pool) must not
 //! allocate per request: storage comes from thread-local scratch and
-//! recycled [`OutputPool`] buffers, which is what makes warm-server tail
+//! recycled `OutputPool` buffers, which is what makes warm-server tail
 //! latency flat. This rule pins that property: inside the functions
 //! listed as `items` in `analysis.toml` (matched by `file.rs::fn`, with a
 //! trailing `*` glob on the fn name), allocating constructs from the

@@ -1,8 +1,7 @@
 //! What the committed `BENCH_*.json` artifacts share: the command line of
 //! the binaries that write them, the provenance stamp, and the write step.
-//! The JSON is hand-written (no serializer in the vendored dependency set).
-
-use std::fmt::Write as _;
+//! Their tables are [`Table`](crate::Table)s; the enclosing object is
+//! assembled here (no serializer in the vendored dependency set).
 
 use crate::deployments::DeployScale;
 
@@ -59,16 +58,15 @@ impl Cli {
     }
 }
 
-/// Open the artifact's JSON object with its stamp: `bench`, a `scale`
-/// naming the deployment `built` (`name:CxRxK/Nreq`, as `benchmark/`
-/// prints it), `cores`, `commit` and `rustc`. The caller appends its own
-/// fields and the closing brace.
-pub fn open(bench: &str, cli: &Cli, built: &DeployScale) -> String {
-    let mut json = String::new();
-    let _ = writeln!(json, "{{\n  \"bench\": \"{bench}\",");
-    let _ = writeln!(
-        json,
-        "  \"scale\": \"{}:{}x{}x{}/{}req\",",
+/// An artifact's fields in write order: `(key, value already in JSON)`.
+pub type Fields = Vec<(&'static str, String)>;
+
+/// The stamp every artifact opens with: `bench`, a `scale` naming the
+/// deployment `built` (`name:CxRxK/Nreq`, as `benchmark/` prints it),
+/// `cores`, `commit` and `rustc`. The caller appends its own fields.
+pub fn open(bench: &str, cli: &Cli, built: &DeployScale) -> Fields {
+    let scale = format!(
+        "{}:{}x{}x{}/{}req",
         cli.scale_name(),
         built.n_components,
         built.rows_per_component,
@@ -76,13 +74,28 @@ pub fn open(bench: &str, cli: &Cli, built: &DeployScale) -> String {
         built.n_requests
     );
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let _ = writeln!(json, "  \"cores\": {cores},");
     // `--dirty`: an artifact regenerated before its commit exists says so.
     let commit = first_line_of("git", &["describe", "--always", "--dirty"]);
-    let _ = writeln!(json, "  \"commit\": \"{commit}\",");
     let rustc = first_line_of("rustc", &["--version"]);
-    let _ = writeln!(json, "  \"rustc\": \"{rustc}\",");
-    json
+    vec![
+        ("bench", format!("\"{bench}\"")),
+        ("scale", format!("\"{scale}\"")),
+        ("cores", cores.to_string()),
+        ("commit", format!("\"{commit}\"")),
+        ("rustc", format!("\"{rustc}\"")),
+    ]
+}
+
+/// Write `fields` to `path` as one JSON object, a field per line; a
+/// table's value is its [`Table::to_json`](crate::Table::to_json).
+pub fn write(path: &str, fields: &[(&'static str, String)]) {
+    let lines: Vec<String> = fields
+        .iter()
+        .map(|(key, json)| format!("  \"{key}\": {json}"))
+        .collect();
+    let json = format!("{{\n{}\n}}\n", lines.join(",\n"));
+    std::fs::write(path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    eprintln!("wrote {path}");
 }
 
 /// First line of `program args...`'s standard output, or "unknown" (not a
@@ -102,10 +115,4 @@ fn first_line_of(program: &str, args: &[&str]) -> String {
         })
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// Write the finished artifact to `path`.
-pub fn write(path: &str, json: &str) {
-    std::fs::write(path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    eprintln!("wrote {path}");
 }

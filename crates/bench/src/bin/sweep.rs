@@ -9,14 +9,15 @@
 //! deployment (`DeployScale::full()`, or `quick()` under `--quick`; the
 //! artifact's `scale` names the one built) — duplicate-heavy traffic over
 //! a hot working set. See [`overload`] and [`shard`] for what each sweeps.
+//! Each prints its entries as a table and writes them to the artifact.
 
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use at_bench::artifact::{self, Cli};
+use at_bench::artifact::{self, Cli, Fields};
 use at_bench::deployments::build_recommender;
+use at_bench::Table;
 use at_core::{ExecutionPolicy, FanOutService};
 use at_recommender::{ActiveUser, CfService};
 use at_server::{
@@ -50,12 +51,12 @@ fn main() {
         .collect();
     let service = Arc::new(deployment.service);
 
-    let mut json = artifact::open(which, &cli, &scale);
+    let mut fields = artifact::open(which, &cli, &scale);
     match which {
-        "overload" => overload(cli.quick, &service, &mix, &mut json),
-        _ => shard(&service, &mix, &mut json),
+        "overload" => overload(cli.quick, &service, &mix, &mut fields),
+        _ => shard(&service, &mix, &mut fields),
     }
-    artifact::write(cli.out.as_deref().unwrap_or(default_out), &json);
+    artifact::write(cli.out.as_deref().unwrap_or(default_out), &fields);
 }
 
 /// Nearest-rank p99 of a latency sample, in milliseconds. Sorts in place;
@@ -67,11 +68,6 @@ fn p99_ms(latencies: &mut [Duration]) -> f64 {
     latencies.sort_unstable();
     let idx = ((latencies.len() as f64 * 0.99).ceil() as usize).clamp(1, latencies.len()) - 1;
     latencies[idx].as_secs_f64() * 1e3
-}
-
-/// Append `"entries": [...]`, one pre-formatted JSON object per line.
-fn push_entries(json: &mut String, rows: &[String]) {
-    let _ = write!(json, "  \"entries\": [\n    {}\n  ]", rows.join(",\n    "));
 }
 
 // ---------------------------------------------------------------------
@@ -106,7 +102,7 @@ struct LevelRun {
 /// `l_spe` improving while the backlog's queue wait blows the deadline for
 /// everyone behind it; the ladder degrades the newest traffic instead
 /// (`Deadline` → `Budgeted` → `SynopsisOnly`).
-fn overload(quick: bool, service: &Arc<Service>, mix: &[ActiveUser], json: &mut String) {
+fn overload(quick: bool, service: &Arc<Service>, mix: &[ActiveUser], fields: &mut Fields) {
     // l_spe scaled to the measured full-work service time so queueing is
     // what decides misses, clamped to a realistic band.
     let probe = ExecutionPolicy::deadline(Duration::from_millis(100));
@@ -136,50 +132,51 @@ fn overload(quick: bool, service: &Arc<Service>, mix: &[ActiveUser], json: &mut 
         ..LadderConfig::for_deadline(l_spe)
     };
 
-    let mut rows = Vec::new();
     let mut runs = Vec::new();
     for (level, hour) in [("trough", 4), ("shoulder", 16), ("peak", 22)] {
         let rate = diurnal.hourly_rate(hour).max(1.0);
         // Cap per-level replay time; overload shows within a few windows.
         let n = n_requests.min((rate * max_level_secs) as usize).max(256);
         for (controller, cfg) in [("none", None), ("ladder", Some(ladder))] {
-            let e = run_level(service, mix, l_spe, rate, n, cfg);
-            eprintln!(
-                "{level:<9} {controller:<7} {rate:>9.0} req/s  p99 {:>9.3} ms  \
-                 miss {:>6.3}  cov {:>5.3}  shed {:>5.3}",
-                e.p99_ms, e.miss_rate, e.mean_coverage, e.shed_rate
-            );
-            rows.push(format!(
-                "{{\"level\": \"{level}\", \"controller\": \"{controller}\", \
-                 \"offered_rps\": {rate:.1}, \"offered_x\": {:.2}, \"p99_ms\": {:.3}, \
-                 \"miss_rate\": {:.4}, \"mean_coverage\": {:.4}, \"shed_rate\": {:.4}}}",
-                rate / full_rps,
-                e.p99_ms,
-                e.miss_rate,
-                e.mean_coverage,
-                e.shed_rate
+            runs.push((
+                level,
+                controller,
+                rate,
+                run_level(service, mix, l_spe, rate, n, cfg),
             ));
-            runs.push(e);
         }
     }
+    let each = |f: fn(&LevelRun) -> f64| runs.iter().map(move |r| f(&r.3));
+    let entries = Table::new("entries", "overload: NoControl vs ladder per load level")
+        .col("level", 0, runs.iter().map(|r| r.0))
+        .col("controller", 0, runs.iter().map(|r| r.1))
+        .col("offered_rps", 1, runs.iter().map(|r| r.2))
+        .col("offered_x", 2, runs.iter().map(|r| r.2 / full_rps))
+        .col("p99_ms", 3, each(|e| e.p99_ms))
+        .col("miss_rate", 4, each(|e| e.miss_rate))
+        .col("mean_coverage", 4, each(|e| e.mean_coverage))
+        .col("shed_rate", 4, each(|e| e.shed_rate));
+    println!("{entries}");
 
-    let _ = writeln!(json, "  \"l_spe_ms\": {:.3},", l_spe.as_secs_f64() * 1e3);
-    let _ = writeln!(json, "  \"calibrated_full_rps\": {full_rps:.1},");
-    push_entries(json, &rows);
-    let [.., peak_none, peak_ladder] = &runs[..] else {
+    fields.push(("l_spe_ms", format!("{:.3}", l_spe.as_secs_f64() * 1e3)));
+    fields.push(("calibrated_full_rps", format!("{full_rps:.1}")));
+    fields.push((entries.key, entries.to_json()));
+    let [.., (.., peak_none), (.., peak_ladder)] = &runs[..] else {
         unreachable!("peak is swept last, none before ladder");
     };
-    let _ = writeln!(
-        json,
-        ",\n  \"summary\": {{\"peak_miss_rate_none\": {:.4}, \"peak_miss_rate_ladder\": {:.4}, \
-         \"ladder_cuts_peak_miss_rate\": {}, \"peak_coverage_ladder\": {:.4}, \
-         \"coverage_above_synopsis_floor\": {}}}\n}}",
-        peak_none.miss_rate,
-        peak_ladder.miss_rate,
-        peak_ladder.miss_rate < peak_none.miss_rate,
-        peak_ladder.mean_coverage,
-        peak_ladder.mean_coverage > 0.0
-    );
+    fields.push((
+        "summary",
+        format!(
+            "{{\"peak_miss_rate_none\": {:.4}, \"peak_miss_rate_ladder\": {:.4}, \
+             \"ladder_cuts_peak_miss_rate\": {}, \"peak_coverage_ladder\": {:.4}, \
+             \"coverage_above_synopsis_floor\": {}}}",
+            peak_none.miss_rate,
+            peak_ladder.miss_rate,
+            peak_ladder.miss_rate < peak_none.miss_rate,
+            peak_ladder.mean_coverage,
+            peak_ladder.mean_coverage > 0.0
+        ),
+    ));
 }
 
 /// Replay `mix` open-loop at `rate` req/s (a Poisson trace in real time)
@@ -271,37 +268,31 @@ const SETS: usize = 5;
 /// exactly the requests hashed to it. The effect is honest only when a
 /// unique serve costs what production fan-outs cost, hence the full-size
 /// deployment.
-fn shard(service: &Service, mix: &[ActiveUser], json: &mut String) {
+fn shard(service: &Service, mix: &[ActiveUser], fields: &mut Fields) {
     let policy = ExecutionPolicy::budgeted(SETS);
     for req in mix.iter().take(64) {
         std::hint::black_box(service.serve(req, &policy)); // warm pools
     }
 
-    let runs =
-        [1usize, 2, 4, 8].map(|workers| (workers, run_sharded(service, mix, &policy, workers)));
-    let w1_rps = runs[0].1.throughput_rps;
-    let mut rows = Vec::new();
-    for (workers, run) in runs {
-        let speedup = run.throughput_rps / w1_rps;
-        let name = format!("w{workers}");
-        eprintln!(
-            "{name:<4} {:>10.0} req/s  p99 {:>9.3} ms  speedup {speedup:>6.2}x",
-            run.throughput_rps, run.p99_ms
-        );
-        rows.push(format!(
-            "{{\"name\": \"{name}\", \"workers\": {workers}, \
-             \"throughput_rps\": {:.1}, \"p99_ms\": {:.3}, \
-             \"speedup_vs_1w\": {speedup:.3}}}",
-            run.throughput_rps, run.p99_ms
-        ));
-    }
+    let workers = [1usize, 2, 4, 8];
+    let runs = workers.map(|w| run_sharded(service, mix, &policy, w));
+    let speedup = |r: &ShardRun| r.throughput_rps / runs[0].throughput_rps;
+    let entries = Table::new(
+        "entries",
+        "shard: throughput per hash-affinity worker count",
+    )
+    .col("name", 0, ["w1", "w2", "w4", "w8"])
+    .col("workers", 0, workers)
+    .col("throughput_rps", 1, runs.iter().map(|r| r.throughput_rps))
+    .col("p99_ms", 3, runs.iter().map(|r| r.p99_ms))
+    .col("speedup_vs_1w", 3, runs.iter().map(speedup));
+    println!("{entries}");
 
-    let _ = writeln!(json, "  \"requests\": {},", mix.len());
-    let _ = writeln!(json, "  \"max_batch\": {MAX_BATCH},");
-    let _ = writeln!(json, "  \"in_flight\": {IN_FLIGHT},");
-    let _ = writeln!(json, "  \"policy\": \"budgeted_{SETS}\",");
-    push_entries(json, &rows);
-    json.push_str("\n}\n");
+    fields.push(("requests", mix.len().to_string()));
+    fields.push(("max_batch", MAX_BATCH.to_string()));
+    fields.push(("in_flight", IN_FLIGHT.to_string()));
+    fields.push(("policy", format!("\"budgeted_{SETS}\"")));
+    fields.push((entries.key, entries.to_json()));
 }
 
 /// What one `run_sharded` replay measured.

@@ -1,16 +1,19 @@
 //! One driver per table/figure of the paper's evaluation (§4).
 //!
-//! Every driver returns a plain data struct with a `print_*` that emits the
-//! same rows/series the paper reports. The `repro` binary calls these and
-//! commits Tables 1–2, Figures 6–8 and the summary as `BENCH_paper.json`;
+//! Every driver returns a [`Table`] holding the rows the paper reports;
+//! [`summary`] reads its inputs from four of them by column name. The
+//! `repro` binary prints the tables it runs and commits Figure 4, Tables
+//! 1–2, Figures 6–8 and the summary as `BENCH_paper.json`;
 //! `tests/paper_shapes.rs` pins their shapes at [`ExpScale::quick`].
+
+use std::time::Duration;
 
 use at_linalg::svd::SvdConfig;
 use at_recommender::{rating_matrix, section_relatedness, ActiveUser, CfService};
 use at_search::{section_top_k_coverage, SearchRequest, SearchService};
 use at_sim::{run_fixed_rate, run_hour_window, CostModel, RequestSample, SimConfig, Technique};
 use at_synopsis::{
-    AggregationMode, DataUpdate, RowStore, SparseRow, SynopsisConfig, SynopsisStore,
+    AggregationMode, BuildReport, DataUpdate, RowStore, SparseRow, SynopsisConfig, SynopsisStore,
 };
 use at_workloads::{
     Corpus, CorpusConfig, DiurnalPattern, MapReduceConfig, QueryGenerator, RatingsConfig,
@@ -20,6 +23,7 @@ use rayon::prelude::*;
 
 use crate::deployments::{build_recommender, build_search, DeployScale, SearchDeployment};
 use crate::replay::{rec_accuracy_loss, search_accuracy_loss, Budget};
+use crate::table::{Cell, Table};
 
 /// Knobs controlling how much compute each experiment burns.
 #[derive(Clone, Copy, Debug)]
@@ -96,65 +100,72 @@ impl ExpScale {
     }
 }
 
+/// A table/figure driver.
+pub type Driver = fn(&ExpScale) -> Table;
+
+/// Every driver in the order `repro` prints them: its name on the `repro`
+/// command line, whether `repro --out` commits its table, and the driver.
+pub const DRIVERS: [(&str, bool, Driver); 10] = [
+    ("creation", false, creation_overheads),
+    ("fig3", false, fig3),
+    ("fig4a", true, fig4a),
+    ("fig4b", true, fig4b),
+    ("table1", true, table1),
+    ("table2", true, table2),
+    ("fig5", false, fig5),
+    ("fig6", true, fig6),
+    ("fig7", true, fig7),
+    ("fig8", true, fig8),
+];
+
+/// The drivers [`summary`] reads, in its argument order.
+pub const SUMMARY_INPUTS: [&str; 4] = ["table1", "table2", "fig7", "fig8"];
+
 // ---------------------------------------------------------------------
 // §4.2: synopsis creation overheads
 // ---------------------------------------------------------------------
 
-/// Per-service synopsis-creation report (§4.2: creation time per step,
-/// aggregation ratio — the paper's 133.01 users / 42.55 pages).
-#[derive(Clone, Debug)]
-pub struct CreationReport {
-    /// Service label.
-    pub service: &'static str,
-    /// Build report of one subset.
-    pub report: at_synopsis::BuildReport,
+/// §4.2: build one paper-shaped subset per service and report the
+/// creation time per step and the aggregation ratio (the paper's 133.01
+/// users / 42.55 pages per aggregated point).
+pub fn creation_overheads(scale: &ExpScale) -> Table {
+    let reports: Vec<BuildReport> = offline_subsets(scale)
+        .into_iter()
+        .zip([100, 40])
+        .map(|((_, data, mode), ratio)| {
+            SynopsisStore::build(&data, mode, offline_synopsis_config(scale, ratio)).1
+        })
+        .collect();
+    let each = |f: fn(&BuildReport) -> f64| reports.iter().map(f).collect::<Vec<f64>>();
+    Table::new("creation", "§4.2 synopsis creation overheads")
+        .col("service", 0, ["recommender", "search"])
+        .col("points", 0, each(|r| r.n_points as f64))
+        .col("aggregated", 0, each(|r| r.n_aggregated as f64))
+        .col("mean_group_size", 2, each(|r| r.mean_group_size))
+        .col("reduce_ms", 1, each(|r| ms(r.reduce_time)))
+        .col("organize_ms", 1, each(|r| ms(r.organize_time)))
+        .col("aggregate_ms", 1, each(|r| ms(r.aggregate_time)))
 }
 
-/// Build one paper-shaped subset per service and report creation costs.
-pub fn creation_overheads(scale: &ExpScale) -> Vec<CreationReport> {
-    let (rec_data, _) = offline_recommender_subset(scale);
-    let (_, rec_report) = SynopsisStore::build(
-        &rec_data,
-        AggregationMode::Mean,
-        offline_synopsis_config(scale, 100),
-    );
-    let (search_data, _) = offline_search_subset(scale);
-    let (_, search_report) = SynopsisStore::build(
-        &search_data,
-        AggregationMode::Merge,
-        offline_synopsis_config(scale, 40),
-    );
-    vec![
-        CreationReport {
-            service: "recommender",
-            report: rec_report,
-        },
-        CreationReport {
-            service: "search",
-            report: search_report,
-        },
+/// Both services' offline subsets, each with the aggregation mode its
+/// synopsis is built with.
+fn offline_subsets(scale: &ExpScale) -> [(&'static str, RowStore, AggregationMode); 2] {
+    [
+        (
+            "recommender",
+            offline_recommender_subset(scale).0,
+            AggregationMode::Mean,
+        ),
+        (
+            "search",
+            offline_search_subset(scale).0,
+            AggregationMode::Merge,
+        ),
     ]
 }
 
-/// Print the creation-overheads table.
-pub fn print_creation(reports: &[CreationReport]) {
-    println!("== §4.2 synopsis creation overheads ==");
-    println!(
-        "{:<12} {:>9} {:>10} {:>10} {:>10} {:>10} {:>10}",
-        "service", "points", "agg", "ratio", "step1(ms)", "step2(ms)", "step3(ms)"
-    );
-    for r in reports {
-        println!(
-            "{:<12} {:>9} {:>10} {:>10.2} {:>10.1} {:>10.1} {:>10.1}",
-            r.service,
-            r.report.n_points,
-            r.report.n_aggregated,
-            r.report.mean_group_size,
-            r.report.reduce_time.as_secs_f64() * 1000.0,
-            r.report.organize_time.as_secs_f64() * 1000.0,
-            r.report.aggregate_time.as_secs_f64() * 1000.0,
-        );
-    }
+fn ms(d: Duration) -> f64 {
+    d.as_secs_f64() * 1000.0
 }
 
 fn offline_synopsis_config(scale: &ExpScale, ratio: usize) -> SynopsisConfig {
@@ -203,116 +214,84 @@ fn offline_search_subset(scale: &ExpScale) -> (RowStore, Corpus) {
 // Figure 3: synopsis updating time vs. change fraction
 // ---------------------------------------------------------------------
 
-/// Figure 3 data: update durations (ms) for i% additions and i% changes.
-#[derive(Clone, Debug)]
-pub struct Fig3 {
-    /// Percent values tested (1..=10).
-    pub percents: Vec<usize>,
-    /// (service label, add-durations ms, change-durations ms).
-    pub series: Vec<(&'static str, Vec<f64>, Vec<f64>)>,
-}
-
-/// Run the Figure-3 updating experiment on both services' subsets.
-pub fn fig3(scale: &ExpScale) -> Fig3 {
-    let percents: Vec<usize> = (1..=10).collect();
-    let mut series = Vec::new();
-    for (service, data, mode) in [
-        (
-            "recommender",
-            offline_recommender_subset(scale).0,
-            AggregationMode::Mean,
-        ),
-        (
-            "search",
-            offline_search_subset(scale).0,
-            AggregationMode::Merge,
-        ),
-    ] {
-        let cfg = offline_synopsis_config(scale, 60);
-        let (store, _) = SynopsisStore::build(&data, mode, cfg);
-
-        let run = |make: &dyn Fn(usize, &RowStore) -> Vec<DataUpdate>| -> Vec<f64> {
-            percents
-                .iter()
-                .map(|&pct| {
-                    // Fresh copies per scenario, as in the paper's repeats.
-                    let mut d = data.clone();
-                    let mut s = store.clone();
-                    let n = (d.len() * pct / 100).max(1);
-                    let updates = make(n, &d);
+/// Figure 3: update time (ms) for i % additions and i % changes, i in
+/// 1..=10, on both services' subsets.
+pub fn fig3(scale: &ExpScale) -> Table {
+    let (mut services, mut adds, mut changes) = (Vec::new(), Vec::new(), Vec::new());
+    for (service, data, mode) in offline_subsets(scale) {
+        let (store, _) = SynopsisStore::build(&data, mode, offline_synopsis_config(scale, 60));
+        // Per i: apply `make`'s updates to i % of the rows, on fresh copies
+        // per scenario as in the paper's repeats.
+        let time = |make: fn(usize, &RowStore) -> Vec<DataUpdate>| -> Vec<f64> {
+            (1..=10)
+                .map(|pct| {
+                    let (mut d, mut s) = (data.clone(), store.clone());
+                    let updates = make((d.len() * pct / 100).max(1), &d);
                     let report = s.apply_updates(&mut d, updates);
                     debug_assert!(s.validate().is_ok());
-                    report.duration.as_secs_f64() * 1000.0
+                    ms(report.duration)
                 })
                 .collect()
         };
-
-        let adds = run(&|n, d| {
-            (0..n)
-                .map(|i| DataUpdate::Add(d.row((i % d.len()) as u64).clone()))
-                .collect()
-        });
-        let changes = run(&|n, d| {
-            (0..n)
-                .map(|i| {
-                    let id = (i * 7 % d.len()) as u64;
-                    // Perturb the row: shift every value by one notch.
-                    let row = d.row(id);
-                    let new = SparseRow::from_pairs(
-                        row.iter().map(|(c, v)| (c, (v + 1.0).min(5.0))).collect(),
-                    );
-                    DataUpdate::Change { id, row: new }
-                })
-                .collect()
-        });
-        series.push((service, adds, changes));
+        adds.extend(time(additions));
+        changes.extend(time(perturbations));
+        services.extend([service; 10]);
     }
-    Fig3 { percents, series }
+    let pcts = (1..=10usize).cycle().take(services.len());
+    Table::new("fig3_update_ms", "Figure 3: synopsis updating time (ms)")
+        .col("service", 0, services)
+        .col("pct", 0, pcts)
+        .col("add", 2, adds)
+        .col("change", 2, changes)
 }
 
-/// Print Figure 3.
-pub fn print_fig3(f: &Fig3) {
-    println!("== Figure 3: synopsis updating time (ms) ==");
-    for (service, adds, changes) in &f.series {
-        println!("-- {service} --");
-        println!("{:<10} {:>12} {:>12}", "i%", "add", "change");
-        for (i, &pct) in f.percents.iter().enumerate() {
-            println!("{:<10} {:>12.2} {:>12.2}", pct, adds[i], changes[i]);
-        }
-    }
+/// `n` additions: copies of the first `n` rows, wrapping.
+fn additions(n: usize, d: &RowStore) -> Vec<DataUpdate> {
+    (0..n)
+        .map(|i| DataUpdate::Add(d.row((i % d.len()) as u64).clone()))
+        .collect()
+}
+
+/// `n` changes to every seventh row, wrapping: each value shifted up by
+/// one notch, capped at 5.
+fn perturbations(n: usize, d: &RowStore) -> Vec<DataUpdate> {
+    (0..n)
+        .map(|i| {
+            let id = (i * 7 % d.len()) as u64;
+            let shifted = d.row(id).iter().map(|(c, v)| (c, (v + 1.0).min(5.0)));
+            DataUpdate::Change {
+                id,
+                row: SparseRow::from_pairs(shifted.collect()),
+            }
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------
 // Figure 4: effectiveness of synopses
 // ---------------------------------------------------------------------
 
-/// Figure 4 data: per ranked section, the average percentage of highly
-/// related original data points (a) / of actual top-10 pages (b).
-#[derive(Clone, Debug)]
-pub struct Fig4 {
-    /// Ten ranked sections, best first.
-    pub sections: Vec<f64>,
-    /// Number of requests averaged over.
-    pub n_requests: usize,
-}
-
-impl Fig4 {
-    /// Average each request's ten per-section percentages.
-    fn mean_of(per_request: &[Vec<f64>]) -> Fig4 {
-        let n_requests = per_request.len();
-        let sections = (0..10)
-            .map(|s| per_request.iter().map(|r| r[s]).sum::<f64>() / n_requests as f64)
-            .collect();
-        Fig4 {
-            sections,
-            n_requests,
-        }
-    }
+/// A Figure-4 table: per ranked section (best first), the mean over
+/// requests of each request's ten per-section percentages.
+fn fig4_table(
+    key: &'static str,
+    what: &str,
+    column: &'static str,
+    per_request: &[Vec<f64>],
+) -> Table {
+    let n = per_request.len();
+    let means = (0..10).map(|s| per_request.iter().map(|r| r[s]).sum::<f64>() / n as f64);
+    Table::new(
+        key,
+        format!("Figure 4{what}: ranked sections vs. relatedness (avg over {n} requests)"),
+    )
+    .col("section", 0, 1..=10usize)
+    .col(column, 2, means)
 }
 
 /// Figure 4(a): recommender — % of highly related users (|w| > 0.8) per
 /// ranked section of aggregated users.
-pub fn fig4a(scale: &ExpScale) -> Fig4 {
+pub fn fig4a(scale: &ExpScale) -> Table {
     let (store, data) = offline_recommender_subset(scale);
     // size_ratio chosen so the synopsis has enough aggregated points for
     // ten meaningful sections.
@@ -334,12 +313,17 @@ pub fn fig4a(scale: &ExpScale) -> Fig4 {
             section_relatedness(component.ctx(), &req, 0.8, 10)
         })
         .collect();
-    Fig4::mean_of(&per_request)
+    fig4_table(
+        "fig4a_related_pct",
+        "(a) recommender",
+        "related_pct",
+        &per_request,
+    )
 }
 
 /// Figure 4(b): search — % of actual top-10 pages per ranked section of
 /// aggregated pages.
-pub fn fig4b(scale: &ExpScale) -> Fig4 {
+pub fn fig4b(scale: &ExpScale) -> Table {
     let (store, corpus) = offline_search_subset(scale);
     let service = SearchService::build(&store, 10);
     let cfg = offline_synopsis_config(scale, 30);
@@ -357,19 +341,7 @@ pub fn fig4b(scale: &ExpScale) -> Fig4 {
         .par_iter()
         .map(|q| section_top_k_coverage(component.ctx(), component.service(), q, 10))
         .collect();
-    Fig4::mean_of(&per_request)
-}
-
-/// Print Figure 4(a) or (b).
-pub fn print_fig4(label: &str, f: &Fig4) {
-    println!(
-        "== Figure 4{label}: ranked sections vs. relatedness (avg over {} requests) ==",
-        f.n_requests
-    );
-    println!("{:<10} {:>10}", "section", "% related");
-    for (i, s) in f.sections.iter().enumerate() {
-        println!("{:<10} {:>10.2}", i + 1, s);
-    }
+    fig4_table("fig4b_top10_pct", "(b) search", "top10_pct", &per_request)
 }
 
 // ---------------------------------------------------------------------
@@ -397,6 +369,16 @@ fn accuracy_trader(imax_frac: Option<f64>) -> Technique {
 /// The search workload's `i_max` fraction.
 const SEARCH_IMAX: Option<f64> = Some(0.4);
 
+/// The latency-side techniques of Table 1 and Figures 5 and 7 under their
+/// column names, AccuracyTrader capped at `imax_frac`.
+fn latency_techniques(imax_frac: Option<f64>) -> [(&'static str, Technique); 3] {
+    [
+        ("basic", Technique::Basic),
+        ("reissue", REISSUE),
+        ("accuracy_trader", accuracy_trader(imax_frac)),
+    ]
+}
+
 /// Replay budget of an AccuracyTrader sample.
 fn sets_budget(s: &RequestSample, imax_frac: Option<f64>) -> Budget<'_> {
     Budget::Sets {
@@ -412,113 +394,88 @@ fn mask_budget(s: &RequestSample) -> Budget<'_> {
 }
 
 /// Search accuracy-loss % of (partial execution, AccuracyTrader) over one
-/// window's samples; an empty window scores 0.
+/// diurnal `hour`, per each of `n_bins` equal spans of arrival time; an
+/// empty span scores 0 (Figures 6 and 8).
 fn search_losses(
+    scale: &ExpScale,
     deployment: &SearchDeployment,
-    partial: &[RequestSample],
-    at: &[RequestSample],
-) -> (f64, f64) {
-    let partial_loss = if partial.is_empty() {
-        0.0
-    } else {
-        search_accuracy_loss(deployment, partial, mask_budget)
-    };
-    let at_loss = if at.is_empty() {
-        0.0
-    } else {
-        search_accuracy_loss(deployment, at, |s| sets_budget(s, SEARCH_IMAX))
-    };
-    (partial_loss, at_loss)
+    hour: usize,
+    n_bins: usize,
+) -> Vec<(f64, f64)> {
+    let pattern = DiurnalPattern::sogou_like(scale.peak_rps);
+    let cfg = scale.sim_config(scale.fig_components, true);
+    let run = |t| run_hour_window(&pattern, hour, scale.fig_window_s, t, &cfg).samples;
+    let (partial, at) = (run(PARTIAL), run(accuracy_trader(SEARCH_IMAX)));
+    let at_budget: fn(&RequestSample) -> Budget<'_> = |s| sets_budget(s, SEARCH_IMAX);
+    (0..n_bins)
+        .into_par_iter()
+        .map(|bin| {
+            let lo = scale.fig_window_s * bin as f64 / n_bins as f64;
+            let hi = scale.fig_window_s * (bin + 1) as f64 / n_bins as f64;
+            let loss = |samples: &[RequestSample], budget: fn(&RequestSample) -> Budget<'_>| {
+                let in_bin: Vec<RequestSample> = samples
+                    .iter()
+                    .filter(|s| s.arrival_s >= lo && s.arrival_s < hi)
+                    .cloned()
+                    .collect();
+                if in_bin.is_empty() {
+                    0.0
+                } else {
+                    search_accuracy_loss(deployment, &in_bin, budget)
+                }
+            };
+            (loss(&partial, mask_budget), loss(&at, at_budget))
+        })
+        .collect()
+}
+
+/// `table` with the (partial execution, AccuracyTrader) loss columns of
+/// Table 2 and Figures 6 and 8 appended.
+fn with_losses(table: Table, losses: Vec<(f64, f64)>) -> Table {
+    let (partial, at): (Vec<f64>, Vec<f64>) = losses.into_iter().unzip();
+    table
+        .col("partial", 2, partial)
+        .col("accuracy_trader", 2, at)
 }
 
 // ---------------------------------------------------------------------
 // Tables 1 & 2: fixed-rate CF workload
 // ---------------------------------------------------------------------
 
-/// Table 1 data: 99.9th-percentile component latency (ms) per technique
-/// per arrival rate.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Table1 {
-    /// Request arrival rates (req/s).
-    pub rates: Vec<f64>,
-    /// Basic row (ms).
-    pub basic: Vec<f64>,
-    /// Request-reissue row (ms).
-    pub reissue: Vec<f64>,
-    /// AccuracyTrader row (ms).
-    pub accuracy_trader: Vec<f64>,
-}
+/// The arrival rates (req/s) of Tables 1 and 2.
+const RATES: [f64; 5] = [20.0, 40.0, 60.0, 80.0, 100.0];
 
-/// Run Table 1: Basic vs. reissue vs. AccuracyTrader tails under the
-/// synthetic CF workload.
-pub fn table1(scale: &ExpScale) -> Table1 {
-    let rates = vec![20.0, 40.0, 60.0, 80.0, 100.0];
+/// Table 1: 99.9th-percentile component latency (ms) of Basic, request
+/// reissue and AccuracyTrader per arrival rate, synthetic CF workload.
+pub fn table1(scale: &ExpScale) -> Table {
     let cfg = scale.sim_config(scale.table_components, false);
-    let run = |technique: Technique| -> Vec<f64> {
-        rates
+    let mut table = Table::new(
+        "table1_p999_ms",
+        "Table 1: 99.9th-percentile component latency (ms), CF workload",
+    )
+    .col("rate", 2, RATES);
+    for (name, technique) in latency_techniques(None) {
+        let p999: Vec<f64> = RATES
             .par_iter()
             .map(|&r| {
                 run_fixed_rate(r, scale.table_duration_s, technique, &cfg)
                     .latencies
                     .p999_ms()
             })
-            .collect()
-    };
-    Table1 {
-        rates: rates.clone(),
-        basic: run(Technique::Basic),
-        reissue: run(REISSUE),
-        accuracy_trader: run(accuracy_trader(None)),
+            .collect();
+        table = table.col(name, 2, p999);
     }
+    table
 }
 
-/// Print a technique × rate table: `label_width`-wide row labels, cells
-/// at `decimals` places.
-fn print_rate_table(rates: &[f64], rows: &[(&str, &[f64])], label_width: usize, decimals: usize) {
-    print!("{:<label_width$}", "rate (req/s)");
-    for r in rates {
-        print!("{r:>12.0}");
-    }
-    println!();
-    for (name, row) in rows {
-        print!("{name:<label_width$}");
-        for v in *row {
-            print!("{v:>12.decimals$}");
-        }
-        println!();
-    }
-}
-
-/// Print Table 1.
-pub fn print_table1(t: &Table1) {
-    println!("== Table 1: 99.9th-percentile component latency (ms), CF workload ==");
-    let rows = [
-        ("Basic", &t.basic[..]),
-        ("Reissue", &t.reissue[..]),
-        ("AccuracyTrader", &t.accuracy_trader[..]),
-    ];
-    print_rate_table(&t.rates, &rows, 16, 0);
-}
-
-/// Table 2 data: accuracy-loss % per technique per arrival rate.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Table2 {
-    /// Request arrival rates (req/s).
-    pub rates: Vec<f64>,
-    /// Partial-execution row (%).
-    pub partial: Vec<f64>,
-    /// AccuracyTrader row (%).
-    pub accuracy_trader: Vec<f64>,
-}
-
-/// Run Table 2: partial execution vs. AccuracyTrader accuracy losses under
-/// the CF workload, replaying simulated budgets against the real service.
-pub fn table2(scale: &ExpScale) -> Table2 {
-    let rates = vec![20.0, 40.0, 60.0, 80.0, 100.0];
+/// Table 2: accuracy-loss % of partial execution and AccuracyTrader per
+/// arrival rate under the CF workload, replaying simulated budgets
+/// against the real service.
+pub fn table2(scale: &ExpScale) -> Table {
     let deployment = build_recommender(scale.deploy);
     let cfg = scale.sim_config(scale.table_components, true);
 
-    let cells: Vec<(f64, f64)> = rates
+    let losses = RATES
         .par_iter()
         .map(|&rate| {
             let partial = run_fixed_rate(rate, scale.table_duration_s, PARTIAL, &cfg);
@@ -529,376 +486,183 @@ pub fn table2(scale: &ExpScale) -> Table2 {
             )
         })
         .collect();
-    Table2 {
-        rates,
-        partial: cells.iter().map(|c| c.0).collect(),
-        accuracy_trader: cells.iter().map(|c| c.1).collect(),
-    }
-}
-
-/// Print Table 2.
-pub fn print_table2(t: &Table2) {
-    println!("== Table 2: accuracy losses (%), CF workload ==");
-    let rows = [
-        ("Partial exec", &t.partial[..]),
-        ("AccuracyTrader", &t.accuracy_trader[..]),
-    ];
-    print_rate_table(&t.rates, &rows, 18, 2);
+    let table = Table::new(
+        "table2_loss_pct",
+        "Table 2: accuracy losses (%), CF workload",
+    );
+    with_losses(table.col("rate", 2, RATES), losses)
 }
 
 // ---------------------------------------------------------------------
 // Figures 5-8: diurnal search workload
 // ---------------------------------------------------------------------
 
-/// One technique's per-minute p99.9 series for one hour, plus arrivals.
-#[derive(Clone, Debug)]
-pub struct HourSeries {
-    /// Hour of day (1..=24).
-    pub hour: usize,
-    /// Requests per minute-bucket (the (a)/(e)/(i) panels).
-    pub arrivals_per_bucket: Vec<usize>,
-    /// (technique label, per-bucket p99.9 ms).
-    pub series: Vec<(&'static str, Vec<Option<f64>>)>,
-}
-
-/// Figure 5: tail-latency series for the characteristic hours 9/10/24
-/// under Basic, reissue, and AccuracyTrader.
-pub fn fig5(scale: &ExpScale) -> Vec<HourSeries> {
+/// Figure 5: per-minute p99.9 component latency (ms) and arrivals for the
+/// characteristic hours 9/10/24 under Basic, reissue and AccuracyTrader.
+/// Every sixth minute is kept, to keep the printout readable; a minute
+/// with no completed request is missing.
+pub fn fig5(scale: &ExpScale) -> Table {
     let pattern = DiurnalPattern::sogou_like(scale.peak_rps);
     let cfg = scale.sim_config(scale.fig_components, false);
     let (h_inc, h_steady, h_dec) = DiurnalPattern::characteristic_hours();
-    [h_inc, h_steady, h_dec]
+    let hours = [h_inc, h_steady, h_dec];
+    // Per hour: each technique's per-minute p99.9 series, and the first
+    // run's arrivals per minute.
+    type Series = Vec<Option<f64>>;
+    let runs: Vec<(Vec<Series>, Vec<usize>)> = hours
         .into_par_iter()
         .map(|hour| {
-            let mut arrivals_per_bucket = Vec::new();
-            let series = search_latency_techniques()
-                .into_iter()
-                .map(|(name, tech)| {
-                    let r = run_hour_window(&pattern, hour, scale.fig_window_s, tech, &cfg);
-                    if arrivals_per_bucket.is_empty() {
-                        // Per-bucket arrival counts, from the bucketed recorder.
-                        arrivals_per_bucket = (0..r.bucketed.len())
-                            .map(|i| r.bucketed.bucket(i).len())
-                            .collect();
-                    }
-                    (name, r.bucketed.p999_series_ms())
-                })
-                .collect();
-            HourSeries {
-                hour,
-                arrivals_per_bucket,
-                series,
-            }
+            let runs = latency_techniques(SEARCH_IMAX)
+                .map(|(_, tech)| run_hour_window(&pattern, hour, scale.fig_window_s, tech, &cfg));
+            let arrivals = &runs[0].bucketed;
+            (
+                runs.iter().map(|r| r.bucketed.p999_series_ms()).collect(),
+                (0..arrivals.len())
+                    .map(|m| arrivals.bucket(m).len())
+                    .collect(),
+            )
         })
-        .collect()
-}
-
-/// The three latency-side techniques of Figures 5 and 7.
-fn search_latency_techniques() -> [(&'static str, Technique); 3] {
-    [
-        ("Basic", Technique::Basic),
-        ("Reissue", REISSUE),
-        ("AccuracyTrader", accuracy_trader(SEARCH_IMAX)),
-    ]
-}
-
-/// Print Figure 5 (sampled minutes to keep the table readable).
-pub fn print_fig5(hours: &[HourSeries]) {
-    println!("== Figure 5: per-minute p99.9 component latency (ms), hours 9/10/24 ==");
-    for h in hours {
-        println!("-- hour {} --", h.hour);
-        print!("{:<8}", "minute");
-        for m in (0..60).step_by(6) {
-            print!("{:>10}", m + 1);
-        }
-        println!();
-        print!("{:<8}", "arrivals");
-        for m in (0..60).step_by(6) {
-            print!("{:>10}", h.arrivals_per_bucket.get(m).copied().unwrap_or(0));
-        }
-        println!();
-        for (name, series) in &h.series {
-            print!("{:<8}", &name[..name.len().min(8)]);
-            for m in (0..60).step_by(6) {
-                match series.get(m).copied().flatten() {
-                    Some(v) => print!("{:>10.0}", v),
-                    None => print!("{:>10}", "-"),
-                }
-            }
-            println!();
-        }
+        .collect();
+    // One row per (hour, sampled minute), hour-major.
+    let rows = |cell: &dyn Fn(usize, usize) -> Cell| -> Vec<Cell> {
+        let minutes = || (0..60).step_by(6);
+        (0..hours.len())
+            .flat_map(|h| minutes().map(move |m| cell(h, m)))
+            .collect()
+    };
+    let mut table = Table::new(
+        "fig5_p999_ms",
+        "Figure 5: per-minute p99.9 component latency (ms), hours 9/10/24",
+    )
+    .col("hour", 0, rows(&|h, _| hours[h].into()))
+    .col("minute", 0, rows(&|_, m| (m + 1).into()))
+    .col(
+        "arrivals",
+        0,
+        rows(&|h, m| runs[h].1.get(m).copied().unwrap_or(0).into()),
+    );
+    for (t, (name, _)) in latency_techniques(SEARCH_IMAX).into_iter().enumerate() {
+        table = table.col(
+            name,
+            0,
+            rows(&|h, m| runs[h].0[t].get(m).copied().flatten().into()),
+        );
     }
+    table
 }
 
-/// Accuracy-loss series for one hour: Partial vs. AccuracyTrader, grouped
-/// into coarse time bins (Figure 6).
-#[derive(Clone, Debug)]
-pub struct Fig6Hour {
-    /// Hour of day.
-    pub hour: usize,
-    /// Loss % per bin: (partial, accuracy_trader).
-    pub bins: Vec<(f64, f64)>,
-}
-
-/// Figure 6: accuracy losses over hours 9/10/24 (search workload).
-pub fn fig6(scale: &ExpScale) -> Vec<Fig6Hour> {
-    let pattern = DiurnalPattern::sogou_like(scale.peak_rps);
-    let cfg = scale.sim_config(scale.fig_components, true);
+/// Figure 6: accuracy losses (%) of partial execution and AccuracyTrader
+/// over hours 9/10/24 of the search workload, each hour in six bins.
+pub fn fig6(scale: &ExpScale) -> Table {
     let deployment = build_search(scale.deploy);
     let (h_inc, h_steady, h_dec) = DiurnalPattern::characteristic_hours();
-    let n_bins = 6usize;
-    [h_inc, h_steady, h_dec]
+    let hours = [h_inc, h_steady, h_dec];
+    let losses = hours
         .iter()
-        .map(|&hour| {
-            let run = |t| run_hour_window(&pattern, hour, scale.fig_window_s, t, &cfg);
-            let (partial, at) = (run(PARTIAL), run(accuracy_trader(SEARCH_IMAX)));
-            let bins = (0..n_bins)
-                .into_par_iter()
-                .map(|bin| {
-                    let lo = scale.fig_window_s * bin as f64 / n_bins as f64;
-                    let hi = scale.fig_window_s * (bin + 1) as f64 / n_bins as f64;
-                    let in_bin = |s: &&RequestSample| s.arrival_s >= lo && s.arrival_s < hi;
-                    let p_samples: Vec<RequestSample> =
-                        partial.samples.iter().filter(in_bin).cloned().collect();
-                    let a_samples: Vec<RequestSample> =
-                        at.samples.iter().filter(in_bin).cloned().collect();
-                    search_losses(&deployment, &p_samples, &a_samples)
-                })
-                .collect();
-            Fig6Hour { hour, bins }
-        })
-        .collect()
+        .flat_map(|&hour| search_losses(scale, &deployment, hour, 6))
+        .collect();
+    let table = Table::new(
+        "fig6_loss_pct",
+        "Figure 6: accuracy losses (%), hours 9/10/24, search workload",
+    )
+    .col("hour", 0, hours.iter().flat_map(|&h| [h; 6]))
+    .col("bin", 0, (1..=6usize).cycle().take(hours.len() * 6));
+    with_losses(table, losses)
 }
 
-/// Print Figure 6.
-pub fn print_fig6(hours: &[Fig6Hour]) {
-    println!("== Figure 6: accuracy losses (%), hours 9/10/24, search workload ==");
-    for h in hours {
-        println!("-- hour {} --", h.hour);
-        println!("{:<8} {:>12} {:>16}", "bin", "Partial", "AccuracyTrader");
-        for (i, (p, a)) in h.bins.iter().enumerate() {
-            println!("{:<8} {:>12.2} {:>16.2}", i + 1, p, a);
-        }
-    }
-}
-
-/// Figure 7 data: hourly arrival rates and hourly p99.9 per technique.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Fig7 {
-    /// Mean arrival rate per hour (req/s), hour 1 first.
-    pub hourly_rates: Vec<f64>,
-    /// (technique, per-hour p99.9 ms).
-    pub series: Vec<(&'static str, Vec<f64>)>,
-}
-
-/// Figure 7: 24-hour tail-latency comparison.
-pub fn fig7(scale: &ExpScale) -> Fig7 {
+/// Figure 7: hourly arrival rate (req/s) and p99.9 component latency (ms)
+/// of Basic, reissue and AccuracyTrader over the 24-hour search workload.
+pub fn fig7(scale: &ExpScale) -> Table {
     let pattern = DiurnalPattern::sogou_like(scale.peak_rps);
     let cfg = scale.sim_config(scale.fig_components, false);
-    let series = search_latency_techniques()
-        .into_iter()
-        .map(|(name, tech)| {
-            let per_hour: Vec<f64> = (1..=24usize)
-                .into_par_iter()
-                .map(|h| {
-                    run_hour_window(&pattern, h, scale.fig_window_s, tech, &cfg)
-                        .latencies
-                        .p999_ms()
-                })
-                .collect();
-            (name, per_hour)
-        })
-        .collect();
-    Fig7 {
-        hourly_rates: pattern.hourly().to_vec(),
-        series,
+    let mut table = Table::new(
+        "fig7_p999_ms",
+        "Figure 7: hourly p99.9 component latency (ms), 24-hour search workload",
+    )
+    .col("hour", 0, 1..=24usize)
+    .col("hourly_rps", 2, pattern.hourly().to_vec());
+    for (name, tech) in latency_techniques(SEARCH_IMAX) {
+        let p999: Vec<f64> = (1..=24usize)
+            .into_par_iter()
+            .map(|h| {
+                run_hour_window(&pattern, h, scale.fig_window_s, tech, &cfg)
+                    .latencies
+                    .p999_ms()
+            })
+            .collect();
+        table = table.col(name, 2, p999);
     }
+    table
 }
 
-/// Print Figure 7.
-pub fn print_fig7(f: &Fig7) {
-    println!("== Figure 7: hourly p99.9 component latency (ms), 24-hour search workload ==");
-    print!("{:<16}", "hour");
-    for h in 1..=24 {
-        print!("{:>9}", h);
-    }
-    println!();
-    print!("{:<16}", "rate (req/s)");
-    for r in &f.hourly_rates {
-        print!("{:>9.1}", r);
-    }
-    println!();
-    for (name, row) in &f.series {
-        print!("{:<16}", name);
-        for v in row {
-            print!("{:>9.0}", v);
-        }
-        println!();
-    }
-}
-
-/// Figure 8 data: hourly accuracy losses, Partial vs. AccuracyTrader.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Fig8 {
-    /// Per-hour loss % (hour 1 first): (partial, accuracy_trader).
-    pub hours: Vec<(f64, f64)>,
-}
-
-/// Figure 8: 24-hour accuracy-loss comparison (search workload).
-pub fn fig8(scale: &ExpScale) -> Fig8 {
-    let pattern = DiurnalPattern::sogou_like(scale.peak_rps);
-    let cfg = scale.sim_config(scale.fig_components, true);
+/// Figure 8: hourly accuracy losses (%) of partial execution and
+/// AccuracyTrader over the 24-hour search workload.
+pub fn fig8(scale: &ExpScale) -> Table {
     let deployment = build_search(scale.deploy);
-    let hours: Vec<(f64, f64)> = (1..=24usize)
+    let losses = (1..=24usize)
         .into_par_iter()
-        .map(|h| {
-            let run = |t| run_hour_window(&pattern, h, scale.fig_window_s, t, &cfg);
-            let (partial, at) = (run(PARTIAL), run(accuracy_trader(SEARCH_IMAX)));
-            search_losses(&deployment, &partial.samples, &at.samples)
-        })
+        .map(|hour| search_losses(scale, &deployment, hour, 1)[0])
         .collect();
-    Fig8 { hours }
-}
-
-/// Print Figure 8.
-pub fn print_fig8(f: &Fig8) {
-    println!("== Figure 8: hourly accuracy losses (%), 24-hour search workload ==");
-    println!("{:<6} {:>12} {:>16}", "hour", "Partial", "AccuracyTrader");
-    for (i, (p, a)) in f.hours.iter().enumerate() {
-        println!("{:<6} {:>12.2} {:>16.2}", i + 1, p, a);
-    }
+    let table = Table::new(
+        "fig8_loss_pct",
+        "Figure 8: hourly accuracy losses (%), 24-hour search workload",
+    );
+    with_losses(table.col("hour", 0, 1..=24usize), losses)
 }
 
 // ---------------------------------------------------------------------
 // §4.3 summary ratios
 // ---------------------------------------------------------------------
 
-/// One of the paper's headline ratios (§4.3 "Results") next to ours.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SummaryRow {
-    /// Key in `BENCH_paper.json`.
-    pub name: &'static str,
-    /// Row label `print_summary` prints.
-    pub label: &'static str,
-    /// The reproduced value.
-    pub value: f64,
-    /// The value the paper reports.
-    pub paper: f64,
-    /// `"x"` (a ratio) or `"%"`.
-    pub unit: &'static str,
-}
-
-/// The five §4.3 headline numbers: tail-latency reduction of AT vs.
-/// reissue (CF, search), AT's CF accuracy loss, and the accuracy-loss
-/// reduction of AT vs. partial execution (CF, search).
-pub type Summary = [SummaryRow; 5];
-
-/// Compute the summary ratios from already-run experiments.
-pub fn summary(t1: &Table1, t2: &Table2, f7: &Fig7, f8: &Fig8) -> Summary {
+/// The five §4.3 headline numbers next to the paper's, read by column
+/// name from Table 1, Table 2, Figure 7 and Figure 8: tail-latency
+/// reduction of AT vs. reissue (CF, search), AT's CF accuracy loss, and
+/// the accuracy-loss reduction of AT vs. partial execution (CF, search).
+pub fn summary(t1: &Table, t2: &Table, f7: &Table, f8: &Table) -> Table {
     // CF latency: mean reduction over the heavy-load cells (rate >= 60).
-    let heavy: Vec<usize> = t1
-        .rates
-        .iter()
-        .enumerate()
-        .filter(|(_, &r)| r >= 60.0)
-        .map(|(i, _)| i)
-        .collect();
-    let latency_reduction_cf = mean_ratio(
-        heavy.iter().map(|&i| t1.reissue[i]),
-        heavy.iter().map(|&i| t1.accuracy_trader[i]),
-    );
+    let rates = t1.column("rate");
+    let latency_reduction_cf = mean_ratio(t1, "reissue", |i| rates[i] >= 60.0);
     // Search latency: mean over busy hours (rate above the daily median).
+    let hourly = f7.column("hourly_rps");
     let median = {
-        let mut r = f7.hourly_rates.clone();
+        let mut r = hourly.clone();
         r.sort_by(|a, b| a.partial_cmp(b).expect("rates"));
         r[12]
     };
-    let busy: Vec<usize> = f7
-        .hourly_rates
-        .iter()
-        .enumerate()
-        .filter(|(_, &r)| r > median)
-        .map(|(i, _)| i)
-        .collect();
-    let reissue = &f7
-        .series
-        .iter()
-        .find(|(n, _)| *n == "Reissue")
-        .expect("reissue")
-        .1;
-    let at = &f7
-        .series
-        .iter()
-        .find(|(n, _)| *n == "AccuracyTrader")
-        .expect("AT")
-        .1;
-    let latency_reduction_search = mean_ratio(
-        busy.iter().map(|&i| reissue[i]),
-        busy.iter().map(|&i| at[i]),
-    );
+    let latency_reduction_search = mean_ratio(f7, "reissue", |i| hourly[i] > median);
+    let at_loss_cf = at_linalg::stats::mean(&t2.column("accuracy_trader"));
+    let loss_reduction_cf = mean_ratio(t2, "partial", |_| true);
+    let loss_reduction_search = mean_ratio(f8, "partial", |_| true);
 
-    let at_loss_cf = at_linalg::stats::mean(&t2.accuracy_trader);
-    let loss_reduction_cf = mean_ratio(
-        t2.partial.iter().copied(),
-        t2.accuracy_trader.iter().copied(),
-    );
-    let loss_reduction_search =
-        mean_ratio(f8.hours.iter().map(|h| h.0), f8.hours.iter().map(|h| h.1));
-    let row = |name, label, value, paper, unit| SummaryRow {
-        name,
-        label,
-        value,
-        paper,
-        unit,
-    };
-    [
-        row(
-            "latency_reduction_cf",
-            "AT vs reissue tail-latency reduction, CF:",
-            latency_reduction_cf,
-            133.38,
-            "x",
-        ),
-        row(
+    let rows = [
+        ("latency_reduction_cf", latency_reduction_cf, 133.38, "x"),
+        (
             "latency_reduction_search",
-            "AT vs reissue tail-latency reduction, search:",
             latency_reduction_search,
             42.72,
             "x",
         ),
-        row("at_loss_cf", "AT accuracy loss, CF:", at_loss_cf, 1.97, "%"),
-        row(
-            "loss_reduction_cf",
-            "AT vs partial accuracy-loss reduction, CF:",
-            loss_reduction_cf,
-            15.12,
-            "x",
-        ),
-        row(
-            "loss_reduction_search",
-            "AT vs partial accuracy-loss reduction, search:",
-            loss_reduction_search,
-            13.85,
-            "x",
-        ),
-    ]
+        ("at_loss_cf", at_loss_cf, 1.97, "%"),
+        ("loss_reduction_cf", loss_reduction_cf, 15.12, "x"),
+        ("loss_reduction_search", loss_reduction_search, 13.85, "x"),
+    ];
+    Table::new("summary", "§4.3 summary: reproduced value vs. the paper's")
+        .col("name", 0, rows.map(|r| r.0))
+        .col("value", 2, rows.map(|r| r.1))
+        .col("paper", 2, rows.map(|r| r.2))
+        .col("unit", 0, rows.map(|r| r.3))
 }
 
-fn mean_ratio(num: impl Iterator<Item = f64>, den: impl Iterator<Item = f64>) -> f64 {
-    let pairs: Vec<(f64, f64)> = num.zip(den).filter(|&(_, d)| d > 1e-9).collect();
-    if pairs.is_empty() {
-        return f64::NAN;
-    }
-    pairs.iter().map(|(n, d)| n / d).sum::<f64>() / pairs.len() as f64
-}
-
-/// Print the summary.
-pub fn print_summary(s: &Summary) {
-    println!("== §4.3 summary (paper values in parentheses) ==");
-    for r in s {
-        println!(
-            "{:<46}{:8.2}{}  ({}{})",
-            r.label, r.value, r.unit, r.paper, r.unit
-        );
-    }
+/// Mean of `num / accuracy_trader` over the rows `keep` selects whose
+/// AccuracyTrader cell is positive; NaN if there is none.
+fn mean_ratio(t: &Table, num: &str, keep: impl Fn(usize) -> bool) -> f64 {
+    let ratios: Vec<f64> = t
+        .column(num)
+        .into_iter()
+        .zip(t.column("accuracy_trader"))
+        .enumerate()
+        .filter(|&(i, (_, d))| keep(i) && d > 1e-9)
+        .map(|(_, (n, d))| n / d)
+        .collect();
+    ratios.iter().sum::<f64>() / ratios.len() as f64
 }

@@ -61,7 +61,7 @@ impl<T> Default for OutputPool<T> {
 }
 
 impl<T> OutputPool<T> {
-    /// An empty pool retaining at most [`DEFAULT_RETAIN`] buffers.
+    /// An empty pool retaining at most 4096 idle buffers.
     pub fn new() -> Self {
         Self::with_retention(DEFAULT_RETAIN)
     }
@@ -139,9 +139,9 @@ impl<T> OutputPool<T> {
         self.reuses.load(Ordering::Relaxed)
     }
 
-    /// Idle buffers thrown away while recovering a poisoned free list
-    /// (see [`free_list`](Self::free_list)). Monotone; nonzero means a
-    /// worker died holding the pool lock and the pool restarted cold.
+    /// Idle buffers thrown away while recovering a poisoned free list.
+    /// Monotone; nonzero means a worker died holding the pool lock and the
+    /// pool restarted cold.
     pub fn discarded_on_poison(&self) -> usize {
         self.discarded_on_poison.load(Ordering::Relaxed)
     }

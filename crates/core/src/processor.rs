@@ -11,7 +11,7 @@
 //!   literal wall-clock loop of Algorithm 1 (lines 4–10, checking
 //!   `l_ela < l_spe` between sets).
 //!   [`execute_pooled`](Algorithm1::execute_pooled) is the same run with
-//!   its output buffer recycled through an [`OutputPool`](crate::OutputPool).
+//!   its output buffer recycled through an [`OutputPool`].
 //!
 //! A request is a batch of one: batched serving
 //! ([`FanOutService::serve_batch`](crate::FanOutService::serve_batch)) runs
@@ -36,7 +36,7 @@
 //!   merge with no intermediate vectors, and neighbour means come from the
 //!   [`at_linalg::RowStats`] caches in the stores.
 //! * **Sort work proportional to the budget.** Ranking goes through
-//!   [`rank_top`](crate::correlation::rank_top): only the top `bound` ranks
+//!   [`rank_top`]: only the top `bound` ranks
 //!   implied by the policy (`i_max`, set budget; full for a live deadline)
 //!   are put in order — `O(m + b log b)` instead of `O(m log m)` — and the
 //!   prefix extends geometrically only when stale-set skips force the loop

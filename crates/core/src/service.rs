@@ -215,8 +215,8 @@ impl<R> ServiceResponse<R> {
 ///
 /// # Partial failure
 ///
-/// Each fan-out leg of [`serve`](Self::serve) / [`serve_batch`]
-/// (Self::serve_batch) runs inside the workspace's single unwind
+/// Each fan-out leg of [`serve`](Self::serve) /
+/// [`serve_batch`](Self::serve_batch) runs inside the workspace's single unwind
 /// containment boundary ([`crate::containment`]) and behind a
 /// per-component [`CircuitBreaker`]: a panicking component costs its own
 /// coverage (recorded in [`ServiceResponse::components_failed`], its

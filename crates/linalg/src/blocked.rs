@@ -1,6 +1,6 @@
 //! Blocked sparse row layouts and block-aligned correlation kernels.
 //!
-//! The streaming kernels in [`crate::pearson`] walk two sorted column lists
+//! The streaming kernels in [`crate::pearson`](mod@crate::pearson) walk two sorted column lists
 //! element-at-a-time: every merge step is a data-dependent three-way branch,
 //! so the CPU mispredicts its way through the intersection. This module
 //! re-buckets a sparse row into fixed-width **column blocks** of

@@ -3,7 +3,7 @@
 //! The asynchronous serving front end of the AccuracyTrader reproduction:
 //! a hand-rolled reactor that lets one process multiplex thousands of
 //! in-flight requests against a single
-//! [`FanOutService`](at_core::FanOutService), with the paper's deadline
+//! [`FanOutService`], with the paper's deadline
 //! semantics preserved end to end.
 //!
 //! Algorithm 1 measures its latency deadline `l_spe` from the request's
@@ -51,7 +51,7 @@
 //! coverage) — the feedback signals the admission controller consumes.
 //!
 //! Every dispatch round flows through the control plane (see
-//! [`control`](crate::control) for the controllers):
+//! [`control`] for the controllers):
 //!
 //! ```text
 //!   submission queue ──drain──▶ micro-batch (≤ max_batch, FIFO)

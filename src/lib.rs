@@ -28,21 +28,21 @@
 //! (duplicate requests collapsed under clock-free policies, outputs
 //! recycled through an [`OutputPool`](crate::core::OutputPool)), provably
 //! equivalent to serving the requests one at a time. The async front end
-//! ([`server::Server`](crate::server::Server)) multiplexes thousands of
+//! ([`server::Server`]) multiplexes thousands of
 //! in-flight requests over that machinery: a bounded submission queue
 //! stamps each request's submission instant (queue wait counts against
 //! `Deadline` policies), a dispatcher thread drains micro-batches, and
 //! per-request [`Ticket`](crate::server::Ticket)s deliver responses.
 //! Under overload, a pluggable admission controller
-//! ([`server::LadderController`](crate::server::LadderController)) walks
+//! ([`server::LadderController`]) walks
 //! requests down a [`DegradationLadder`](crate::core::DegradationLadder)
 //! (`Deadline` → `Budgeted` → `SynopsisOnly`) from sliding-window queue
-//! telemetry ([`server::LoadSnapshot`](crate::server::LoadSnapshot)), so
+//! telemetry ([`server::LoadSnapshot`]), so
 //! a diurnal peak degrades a fraction of traffic instead of blowing
 //! every deadline; responses record the
 //! [`policy_applied`](crate::core::ServiceResponse::policy_applied).
 //! To scale past one serving loop,
-//! [`server::ShardedServer`](crate::server::ShardedServer) runs N workers
+//! [`server::ShardedServer`] runs N workers
 //! — each with its own queue, dispatcher, stats, controller, and
 //! supervisor — behind a hash-affinity front end: placing equal requests
 //! on one worker keeps duplicate-collapse locality, each worker serves

@@ -29,9 +29,5 @@ pub mod experiments;
 pub mod replay;
 pub mod table;
 
-pub use deployments::{
-    build_recommender, build_search, DeployScale, RecDeployment, SearchDeployment,
-};
 pub use experiments::ExpScale;
-pub use replay::{rec_accuracy_loss, search_accuracy_loss, Budget};
 pub use table::Table;

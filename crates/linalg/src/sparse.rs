@@ -146,6 +146,13 @@ impl SparseMatrix {
         (0..self.rows).flat_map(move |r| self.row(r).map(move |(c, v)| (r, c, v)))
     }
 
+    /// The CSR index: row `r`'s entries sit at `row_ptr[r]..row_ptr[r + 1]`
+    /// of `col_idx`, and that position is also the entry's place in
+    /// [`Self::iter`] order.
+    pub(crate) fn csr_index(&self) -> (&[usize], &[u32]) {
+        (&self.row_ptr, &self.col_idx)
+    }
+
     #[inline]
     fn row_range(&self, r: usize) -> (usize, usize) {
         assert!(r < self.rows, "row {r} out of bounds ({} rows)", self.rows);

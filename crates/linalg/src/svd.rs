@@ -12,6 +12,16 @@
 //! to the R-tree; the model also supports *folding in* new rows against the
 //! frozen column factors, which is how synopsis updating projects newly
 //! arrived data points into the existing latent space without retraining.
+//!
+//! Each SGD step depends on the one before it through a row factor or a
+//! column factor, so one chain of steps runs at the latency of one step.
+//! Both the fit and the fold-in therefore step several rows in lockstep,
+//! and both keep every factor's update order exactly, so their results
+//! are bit for bit those of the one-step-at-a-time loop. Unlike DSGD
+//! (Gemulla et al., KDD 2011), which reorders the updates into independent
+//! strata, nothing is reordered: the fit lets a row take a column only once
+//! every earlier row in its window has passed that column (see
+//! [`IncrementalSvd::fit`]).
 
 use crate::matrix::Matrix;
 use crate::sparse::SparseMatrix;
@@ -29,6 +39,107 @@ struct FoldInStep {
     base: f64,
     col: f64,
     val: f64,
+}
+
+/// Rows [`IncrementalSvd::fit`] steps in lockstep: enough independent
+/// SGD chains to cover one step's latency (six and eight lanes were no
+/// faster on a 1 000-row CF component).
+const FIT_LANES: usize = 4;
+
+/// One row in [`IncrementalSvd::fit`]'s lockstep window: its next
+/// unprocessed entry `at` (a CSR position, which indexes the residuals
+/// too), the end of its entries, and its factor in the dimension being
+/// trained.
+#[derive(Clone, Copy, Default)]
+struct FitLane {
+    row: usize,
+    at: usize,
+    end: usize,
+    next_col: u64,
+    u: f64,
+}
+
+/// [`FitLane::next_col`] of a lane with no entry left.
+const DONE: u64 = u64::MAX;
+
+/// Train dimension `d` of [`IncrementalSvd::fit`] for
+/// `cfg.epochs_per_dim` row-major epochs over the non-empty `rows` of
+/// `data`, in the lockstep the fit describes: column `d` of
+/// `row_factors`, and `col_d`, the column factors' `d` values.
+/// `residuals` holds each cell's residual after dimensions `0..d`, in CSR
+/// order. The window never holds one row twice (it is at most `rows`
+/// wide), so a lane's `u` is the row's factor for as long as the lane
+/// lives.
+///
+/// Kept out of line: inlined into `fit`, the lane loop measured about
+/// 10 % slower on a 1 000-row CF component.
+#[inline(never)]
+fn fit_dimension(
+    cfg: &SvdConfig,
+    d: usize,
+    data: &SparseMatrix,
+    rows: &[usize],
+    residuals: &[f64],
+    row_factors: &mut Matrix,
+    col_d: &mut [f64],
+) {
+    let (row_ptr, cols) = data.csr_index();
+    let (lr, reg) = (cfg.learning_rate, cfg.regularization);
+    let window = FIT_LANES.min(rows.len());
+    // Oldest first.
+    let mut lanes = [FitLane::default(); FIT_LANES];
+    let mut live = 0;
+    let (mut next, mut epochs_left) = (0, cfg.epochs_per_dim);
+    loop {
+        while live < window && epochs_left > 0 {
+            let row = rows[next];
+            let at = row_ptr[row];
+            lanes[live] = FitLane {
+                row,
+                at,
+                end: row_ptr[row + 1],
+                next_col: u64::from(cols[at]),
+                u: row_factors.get(row, d),
+            };
+            live += 1;
+            next += 1;
+            if next == rows.len() {
+                next = 0;
+                epochs_left -= 1;
+            }
+        }
+        if live == 0 {
+            return;
+        }
+        // One step per lane, oldest first. `limit` is the lowest column
+        // the older lanes held when this step began; a row's columns
+        // ascend, so any older lane holding a column below it has
+        // already stepped that column.
+        let mut limit = DONE;
+        for lane in &mut lanes[..live] {
+            let c = lane.next_col;
+            if c < limit {
+                limit = c;
+                let k = lane.at;
+                let v = &mut col_d[c as usize];
+                let err = residuals[k] - lane.u * *v;
+                let ru = lane.u;
+                lane.u += lr * (err * *v - reg * lane.u);
+                *v += lr * (err * ru - reg * *v);
+                lane.at = k + 1;
+                lane.next_col = if k + 1 < lane.end {
+                    u64::from(cols[k + 1])
+                } else {
+                    DONE
+                };
+            }
+        }
+        while live > 0 && lanes[0].next_col == DONE {
+            row_factors.set(lanes[0].row, d, lanes[0].u);
+            lanes.copy_within(1.., 0);
+            live -= 1;
+        }
+    }
 }
 
 /// Hyper-parameters for [`IncrementalSvd`].
@@ -243,7 +354,20 @@ impl IncrementalSvd {
     ///
     /// Dimensions are trained sequentially: dimension `d` descends on the
     /// residual left by dimensions `0..d`, exactly as in the
-    /// Funk/Gorrell incremental scheme.
+    /// Funk/Gorrell incremental scheme. Each epoch visits the cells in
+    /// row-major order, and each step is `err = res − u·v` followed by the
+    /// two regularised updates of `u_r` and `v_c`.
+    ///
+    /// Up to four consecutive rows of the epoch stream (row `r` of epoch
+    /// `e` is entry `e × rows + r`) step in lockstep, so their chains
+    /// overlap. The oldest row retires when it is done, and the next row
+    /// joins as the newest. A row takes its next column `c` only when `c`
+    /// is below the next unprocessed column of *every* older row in the
+    /// window; checking the neighbouring row alone is not enough, since a
+    /// row can pass a column that a row further back still holds. So each
+    /// `u_r` sees its columns and each `v_c` its rows in exactly the
+    /// row-major order, every step computes the same expression on the same
+    /// operands, and the factors are bit-identical to the sequential loop's.
     ///
     /// # Panics
     /// Panics if `config.dims == 0`.
@@ -274,21 +398,25 @@ impl IncrementalSvd {
         // residual[k] caches v - (mean + sum_{d' < d} U[r][d']·V[c][d']) so
         // each dimension's epochs touch only two factor entries per cell.
         let mut residuals: Vec<f64> = data.iter().map(|(_, _, v)| v - global_mean).collect();
+        // An empty row takes no step, so the window never holds one.
+        let rows: Vec<usize> = (0..data.rows()).filter(|&r| data.row_nnz(r) > 0).collect();
+        let mut col_d = vec![0.0; data.cols()];
 
         for d in 0..cfg.dims {
-            for _ in 0..cfg.epochs_per_dim {
-                let mut k = 0usize;
-                for r in 0..data.rows() {
-                    let rf = row_factors.row_mut(r);
-                    for (c, _v) in data.row(r) {
-                        let cf = col_factors.row_mut(c as usize);
-                        let err = residuals[k] - rf[d] * cf[d];
-                        let ru = rf[d];
-                        rf[d] += cfg.learning_rate * (err * cf[d] - cfg.regularization * rf[d]);
-                        cf[d] += cfg.learning_rate * (err * ru - cfg.regularization * cf[d]);
-                        k += 1;
-                    }
-                }
+            for (c, v) in col_d.iter_mut().enumerate() {
+                *v = col_factors.get(c, d);
+            }
+            fit_dimension(
+                &cfg,
+                d,
+                data,
+                &rows,
+                &residuals,
+                &mut row_factors,
+                &mut col_d,
+            );
+            for (c, &v) in col_d.iter().enumerate() {
+                col_factors.set(c, d, v);
             }
             // Fold dimension d into the residuals before training d+1.
             let mut k = 0usize;

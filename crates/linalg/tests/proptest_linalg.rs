@@ -3,9 +3,12 @@
 use at_linalg::stats::{mean, percentile, variance, Percentiles, StreamingStats};
 use at_linalg::{
     for_each_target_slot, pearson, pearson_on_common, pearson_on_common_alloc,
-    pearson_on_common_indexed, BlockedRow, IndexedRow, IndexedSet,
+    pearson_on_common_indexed, BlockedRow, IncrementalSvd, IndexedRow, IndexedSet, Matrix,
+    SparseMatrix, SparseMatrixBuilder, SvdConfig,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 
 /// Build one sorted sparse row from a dense mask: entry `i` is present when
 /// `mask[i]` is true, with value `vals[i]`.
@@ -21,8 +24,110 @@ fn sparse_row(mask: &[bool], vals: &[f64]) -> (Vec<u32>, Vec<f64>) {
     (cols, out)
 }
 
+/// The row-major loop `IncrementalSvd::fit` ran before its rows stepped
+/// in lockstep, kept as its oracle: one cell at a time, every epoch in
+/// row order, then the dimension folded into the residuals. Returns the
+/// row factors, the column factors and the global mean.
+fn fit_oracle(cfg: SvdConfig, data: &SparseMatrix) -> (Matrix, Matrix, f64) {
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut row_factors = Matrix::zeros(data.rows(), cfg.dims);
+    let mut col_factors = Matrix::zeros(data.cols(), cfg.dims);
+    for r in 0..data.rows() {
+        for v in row_factors.row_mut(r) {
+            *v = rng.random_range(-cfg.init_scale..cfg.init_scale);
+        }
+    }
+    for c in 0..data.cols() {
+        for v in col_factors.row_mut(c) {
+            *v = rng.random_range(-cfg.init_scale..cfg.init_scale);
+        }
+    }
+    let nnz = data.nnz();
+    let global_mean = if nnz == 0 {
+        0.0
+    } else {
+        data.iter().map(|(_, _, v)| v).sum::<f64>() / nnz as f64
+    };
+    let mut residuals: Vec<f64> = data.iter().map(|(_, _, v)| v - global_mean).collect();
+    for d in 0..cfg.dims {
+        for _ in 0..cfg.epochs_per_dim {
+            let mut k = 0usize;
+            for r in 0..data.rows() {
+                let rf = row_factors.row_mut(r);
+                for (c, _v) in data.row(r) {
+                    let cf = col_factors.row_mut(c as usize);
+                    let err = residuals[k] - rf[d] * cf[d];
+                    let ru = rf[d];
+                    rf[d] += cfg.learning_rate * (err * cf[d] - cfg.regularization * rf[d]);
+                    cf[d] += cfg.learning_rate * (err * ru - cfg.regularization * cf[d]);
+                    k += 1;
+                }
+            }
+        }
+        let mut k = 0usize;
+        for r in 0..data.rows() {
+            let rf = row_factors.row(r);
+            for (c, _v) in data.row(r) {
+                residuals[k] -= rf[d] * col_factors.get(c as usize, d);
+                k += 1;
+            }
+        }
+    }
+    (row_factors, col_factors, global_mean)
+}
+
+/// Largest side [`shaped_matrix`] draws.
+const MAX_SIDE: usize = 12;
+
+/// A `rows × cols` matrix whose cell `(r, c)` takes `cells[r * MAX_SIDE +
+/// c]`'s value when the shape keeps it:
+/// - 0: sparse (a quarter of the cells), so empty and one-entry rows are
+///   common;
+/// - 1: dense (three quarters of the cells);
+/// - 2: every cell, so every row holds the same columns and each step
+///   conflicts with the row before it;
+/// - 3: column `c` in row `c % rows` only, so rows share no column.
+fn shaped_matrix(shape: u32, rows: usize, cols: usize, cells: &[(u32, f64)]) -> SparseMatrix {
+    let mut b = SparseMatrixBuilder::new(rows, cols);
+    for r in 0..rows {
+        for c in 0..cols {
+            let (draw, v) = cells[r * MAX_SIDE + c];
+            let keep = match shape {
+                0 => draw == 0,
+                1 => draw != 0,
+                2 => true,
+                _ => c % rows == r,
+            };
+            if keep {
+                b.push(r, c as u32, v);
+            }
+        }
+    }
+    b.build()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn svd_fit_bit_matches_row_major_oracle(
+        shape in 0u32..4,
+        rows in 0usize..=MAX_SIDE,
+        cols in 1usize..=MAX_SIDE,
+        cells in prop::collection::vec((0u32..4, 0.5f64..5.0), MAX_SIDE * MAX_SIDE),
+        dims in 1usize..=4,
+        epochs in 0usize..=3,
+        seed in 0u64..1_000,
+    ) {
+        let data = shaped_matrix(shape, rows, cols, &cells);
+        let cfg = SvdConfig::default().with_dims(dims).with_epochs(epochs).with_seed(seed);
+        let model = IncrementalSvd::new(cfg).fit(&data);
+        let (row_factors, col_factors, global_mean) = fit_oracle(cfg, &data);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(model.row_factors()), bits(&row_factors), "row factors");
+        prop_assert_eq!(bits(model.col_factors()), bits(&col_factors), "column factors");
+        prop_assert_eq!(model.global_mean().to_bits(), global_mean.to_bits());
+    }
 
     #[test]
     fn percentile_is_monotone_in_p(xs in prop::collection::vec(-1e6f64..1e6, 1..200),

@@ -123,3 +123,61 @@ fn aggregation_ratio_tracks_config() {
         );
     }
 }
+
+/// FNV-1a over the bits of every row factor, every column factor and the
+/// global mean.
+fn factor_hash(model: &accuracytrader::linalg::SvdModel) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let factors = model.row_factors().as_slice().iter();
+    let bits = factors
+        .chain(model.col_factors().as_slice())
+        .copied()
+        .chain(std::iter::once(model.global_mean()))
+        .map(f64::to_bits);
+    for byte in bits.flat_map(u64::to_le_bytes) {
+        hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+    }
+    hash
+}
+
+#[test]
+fn svd_factors_are_pinned_on_benchmark_shaped_components() {
+    // The benchmark's SVD setting on one component of each of its shapes:
+    // a `large` CF component (1 000 users × 400 items, 133 ratings each,
+    // 80 % kept for training) and a `small` search component (150 pages,
+    // 1 200 terms). The pins are the factors of the row-major fit, so a
+    // change to the fit's arithmetic or its update order fails here.
+    let seed = 0xACC0_2016;
+    let svd = SvdConfig::default().with_epochs(30).with_seed(seed);
+    let data = RatingsDataset::generate(RatingsConfig {
+        n_users: 1000,
+        n_items: 400,
+        ratings_per_user: 133,
+        noise: 0.3,
+        seed,
+        ..RatingsConfig::default()
+    });
+    let (train, _) = data.holdout_split(0.8, seed ^ 0x51);
+    let cf = rating_matrix(1000, 400, &train).to_csr();
+    let corpus = Corpus::generate(CorpusConfig {
+        n_docs: 150,
+        vocab: 1200,
+        n_topics: 12,
+        seed,
+        ..CorpusConfig::default()
+    });
+    let mut pages = RowStore::new(1200);
+    for doc in &corpus.docs {
+        pages.push_row(SparseRow::from_pairs(doc.terms.clone()));
+    }
+    let search = pages.to_csr();
+    let pins = [
+        ("cf", cf, 106_000, 0x11c7_a08c_e894_cc87),
+        ("search", search, 8_330, 0xdf82_a481_8df7_e576),
+    ];
+    for (name, csr, nnz, pin) in pins {
+        assert_eq!(csr.nnz(), nnz, "{name}: generated data moved");
+        let model = IncrementalSvd::new(svd).fit(&csr);
+        assert_eq!(factor_hash(&model), pin, "{name}: factors moved");
+    }
+}

@@ -4,16 +4,18 @@
 //! element-at-a-time: every merge step is a data-dependent three-way branch,
 //! so the CPU mispredicts its way through the intersection. This module
 //! re-buckets a sparse row into fixed-width **column blocks** of
-//! [`LANES`] = 8 columns: per block a `u8` occupancy mask plus a dense
-//! `[f64; 8]` value lane array (absent lanes hold `0.0`). Within a matching
-//! block a single `mask_a & mask_b` AND replaces up to eight
-//! compare-branches; matched lanes are walked in ascending bit order, or via
-//! a fixed-trip unrolled loop when both blocks are full.
+//! [`LANES`] = 64 columns, each described by one `u64` occupancy mask.
+//! Within a matching block a single `mask_a & mask_b` AND replaces up to 64
+//! compare-branches, and matched lanes are walked in ascending bit order.
+//! A rating row over a few hundred items spans a handful of blocks, so the
+//! walk takes a handful of data-dependent loop exits per row, not one per
+//! few co-rated items.
 //!
 //! Two forms, one per side of a CF kernel:
 //!
-//! * [`BlockedRow`] — the **stored** form: occupied blocks only, each with
-//!   its block id. Every neighbour row in a store or synopsis is one.
+//! * [`BlockedRow`] — the **stored** form: its values once, in column
+//!   order, plus one `(id, mask, offset)` entry per occupied block. Every
+//!   neighbour row in a store or synopsis is one.
 //! * [`IndexedRow`] / [`IndexedSet`] — the **active** form: one entry per
 //!   block id from 0 to the last occupied block, so a block is found by id.
 //!   An active user's profile and target set are built once per request.
@@ -23,6 +25,15 @@
 //! [`for_each_target_slot`]). There is no two-list merge: a neighbour
 //! block costs one bounds-checked load, and the walk stops at the first
 //! block past the active side's last.
+//!
+//! # Rank discipline
+//!
+//! Neither compact side stores a value per absent lane. A matched lane's
+//! position is recovered branch-free from the block's mask: the stored
+//! row's value sits at `offset + popcount(mask & below)`, and a target's
+//! accumulator slot at `base + popcount(mask & below)`, where `below` is
+//! the bits under the lane. Only the request's profile ([`IndexedRow`])
+//! keeps dense `[f64; LANES]` lanes, one array per block id.
 //!
 //! # Bit-identity contract
 //!
@@ -38,35 +49,55 @@
 //! The Welford recurrence itself is a serial dependence (`mean` feeds the
 //! next delta), so lanes cannot legally parallelise the *fold* without
 //! reassociating — which would break bit-identity. Lane width is therefore
-//! spent where it is free: gathering, masking and selecting candidate pairs
-//! in fixed-width chunks the autovectorizer can keep in vector registers.
-//! Everything is stable, `unsafe`-free Rust (the workspace forbids
-//! `unsafe`); there are no intrinsics to audit.
+//! spent where it is free: finding, masking and addressing candidate pairs
+//! a whole word at a time. Everything is stable, `unsafe`-free Rust (the
+//! workspace forbids `unsafe`); there are no intrinsics to audit.
 
 use crate::pearson::WelfordPair;
 
-/// Lanes per column block. A block covers columns
-/// `[id * LANES, (id + 1) * LANES)`.
-pub const LANES: usize = 8;
+/// Lanes per column block (the bits of a `u64` mask). A block covers
+/// columns `[id * LANES, (id + 1) * LANES)`.
+pub const LANES: usize = 64;
+
+/// Block id and lane of column `c`.
+#[inline]
+fn split(c: u32) -> (usize, u32) {
+    (c as usize / LANES, c % LANES as u32)
+}
+
+/// Members of `mask` strictly below `lane`.
+#[inline]
+fn rank(mask: u64, lane: u32) -> usize {
+    (mask & ((1u64 << lane) - 1)).count_ones() as usize
+}
+
+/// One occupied block of a [`BlockedRow`].
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+struct Block {
+    /// Occupancy bitmap: bit `j` set ⇔ column `id * LANES + j` is stored.
+    mask: u64,
+    /// Block id (`col / LANES`).
+    id: u32,
+    /// Index in `vals` of the block's first value.
+    offset: u32,
+}
 
 /// A sparse row re-bucketed into fixed-width column blocks.
 ///
-/// Parallel arrays, one entry per *occupied* block (ascending block id):
-/// `ids[k]` is the block id (`col / LANES`), `masks[k]` the occupancy bitmap
-/// (bit `j` set ⇔ column `id * LANES + j` is stored), `lanes[k]` the dense
-/// value lanes (absent lanes `0.0`). Empty blocks are not stored, so a row
-/// with clustered columns stays compact while a fully dense row costs
-/// `9/8`ths of its CSR values.
+/// `vals` holds the row's values once, in ascending column order, and
+/// `blocks` one entry per *occupied* block (ascending block id): its id,
+/// occupancy mask and the index of its first value in `vals`. A stored
+/// entry costs its value plus a 16-byte block header shared with the
+/// other entries of its block; empty blocks cost nothing.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct BlockedRow {
-    ids: Vec<u32>,
-    masks: Vec<u8>,
-    lanes: Vec<[f64; LANES]>,
+    blocks: Vec<Block>,
+    vals: Vec<f64>,
 }
 
 impl BlockedRow {
     /// Build from parallel `(cols, vals)` with `cols` strictly ascending
-    /// (the [`crate::SparseMatrix`] / `SparseRow` invariant). The three
+    /// (the [`crate::SparseMatrix`] / `SparseRow` invariant). Both
     /// vectors are sized exactly: a stored row carries no growth slack.
     ///
     /// # Panics
@@ -81,62 +112,58 @@ impl BlockedRow {
         let mut blocks = usize::from(!cols.is_empty());
         for w in cols.windows(2) {
             assert!(w[0] < w[1], "cols not strictly ascending");
-            blocks += usize::from(w[0] / LANES as u32 != w[1] / LANES as u32);
+            blocks += usize::from(split(w[0]).0 != split(w[1]).0);
         }
         let mut row = BlockedRow {
-            ids: Vec::with_capacity(blocks),
-            masks: Vec::with_capacity(blocks),
-            lanes: Vec::with_capacity(blocks),
+            blocks: Vec::with_capacity(blocks),
+            vals: vals.to_vec(),
         };
-        for (&c, &v) in cols.iter().zip(vals) {
-            let id = c / LANES as u32;
-            let lane = (c % LANES as u32) as usize;
-            if row.ids.last() != Some(&id) {
-                row.ids.push(id);
-                row.masks.push(0);
-                row.lanes.push([0.0; LANES]);
+        for (k, &c) in cols.iter().enumerate() {
+            let (id, lane) = split(c);
+            match row.blocks.last_mut() {
+                Some(b) if b.id as usize == id => b.mask |= 1 << lane,
+                // Strictly ascending u32 columns: an index fits in u32.
+                _ => row.blocks.push(Block {
+                    mask: 1 << lane,
+                    id: id as u32,
+                    offset: k as u32,
+                }),
             }
-            let k = row.ids.len() - 1;
-            row.masks[k] |= 1 << lane;
-            row.lanes[k][lane] = v;
         }
         row
     }
 
-    /// Number of stored entries (total set mask bits).
+    /// Number of stored entries.
     pub fn nnz(&self) -> usize {
-        self.masks.iter().map(|m| m.count_ones() as usize).sum()
+        self.vals.len()
     }
 
     /// Number of occupied blocks.
     pub fn num_blocks(&self) -> usize {
-        self.ids.len()
+        self.blocks.len()
     }
 
     /// True when the row stores no entries.
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.vals.is_empty()
     }
 
     /// Decode back to sorted `(cols, vals)` — the CSR round-trip view
     /// (construction/compat path; allocates, offline use only).
     pub fn to_sorted(&self) -> (Vec<u32>, Vec<f64>) {
         let mut cols = Vec::with_capacity(self.nnz());
-        let mut vals = Vec::with_capacity(self.nnz());
-        self.for_each(|c, v| {
-            cols.push(c);
-            vals.push(v);
-        });
-        (cols, vals)
+        self.for_each(|c, _| cols.push(c));
+        (cols, self.vals.clone())
     }
 
     /// Visit stored `(col, val)` pairs in ascending column order.
     pub fn for_each(&self, mut f: impl FnMut(u32, f64)) {
-        for ((&id, &mask), lanes) in self.ids.iter().zip(&self.masks).zip(&self.lanes) {
-            let mut m = mask;
+        for b in &self.blocks {
+            let mut m = b.mask;
+            let mut k = b.offset as usize;
             while m != 0 {
-                let lane = m.trailing_zeros() as usize;
-                f(id * LANES as u32 + lane as u32, lanes[lane]);
+                f(b.id * LANES as u32 + m.trailing_zeros(), self.vals[k]);
+                k += 1;
                 m &= m - 1;
             }
         }
@@ -150,13 +177,14 @@ impl BlockedRow {
 /// is the occupancy bitmap of block `id` (0 for an empty block) and
 /// `lanes[id]` its dense value lanes (absent lanes `0.0`). A kernel that
 /// walks a neighbour's [`BlockedRow`] then finds the matching active block
-/// by one bounds-checked lookup, `masks.get(id)`, instead of merging two
-/// block-id lists. The size follows the last column, not the entry count,
-/// so the form suits one short-lived row over a compact column range (a
-/// request's rating profile), not a store of long sparse rows.
+/// by one bounds-checked lookup, `masks.get(id)`, and reads a matched
+/// lane's value directly, without a rank. The size follows the last
+/// column, not the entry count, so the form suits one short-lived row over
+/// a compact column range (a request's rating profile), not a store of
+/// long sparse rows.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct IndexedRow {
-    masks: Vec<u8>,
+    masks: Vec<u64>,
     lanes: Vec<[f64; LANES]>,
 }
 
@@ -173,15 +201,15 @@ impl IndexedRow {
             cols.windows(2).all(|w| w[0] < w[1]),
             "cols not strictly ascending"
         );
-        let blocks = cols.last().map_or(0, |&c| c as usize / LANES + 1);
+        let blocks = cols.last().map_or(0, |&c| split(c).0 + 1);
         let mut row = IndexedRow {
             masks: vec![0; blocks],
             lanes: vec![[0.0; LANES]; blocks],
         };
         for (&c, &v) in cols.iter().zip(vals) {
-            let (id, lane) = (c as usize / LANES, c as usize % LANES);
+            let (id, lane) = split(c);
             row.masks[id] |= 1 << lane;
-            row.lanes[id][lane] = v;
+            row.lanes[id][lane as usize] = v;
         }
         row
     }
@@ -220,17 +248,25 @@ impl IndexedRow {
     }
 }
 
+/// One block id of an [`IndexedSet`].
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+struct Slot {
+    /// Membership bitmap of the block (0 for an empty block).
+    mask: u64,
+    /// Members in all earlier blocks.
+    base: u32,
+}
+
 /// A sorted column set indexed by block id, with ranks — the target side of
 /// the weighted fold ([`for_each_target_slot`]).
 ///
-/// One `u32` per block id from 0 to the last member's block:
-/// `slots[id] = base << 8 | mask`, where `mask` is the block's membership
-/// bitmap and `base` counts the members in all earlier blocks. A member
-/// column's position in the sorted list is then recovered branch-free as
-/// `base + popcount(mask & (bit - 1))`.
+/// One entry per block id from 0 to the last member's block: the block's
+/// membership bitmap and `base`, the members in all earlier blocks. A
+/// member column's position in the sorted list is then recovered
+/// branch-free as `base + popcount(mask & below)`.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct IndexedSet {
-    slots: Vec<u32>,
+    slots: Vec<Slot>,
 }
 
 impl IndexedSet {
@@ -238,22 +274,21 @@ impl IndexedSet {
     /// exactly, with no growth slack.
     ///
     /// # Panics
-    /// Panics if `cols` is not strictly ascending or holds `2^24` or more
-    /// members (the base rank must fit above the 8-bit mask).
+    /// Panics if `cols` is not strictly ascending.
     pub fn from_sorted(cols: &[u32]) -> Self {
         assert!(
             cols.windows(2).all(|w| w[0] < w[1]),
             "cols not strictly ascending"
         );
-        assert!(cols.len() < 1 << 24, "too many members for a 24-bit rank");
-        let blocks = cols.last().map_or(0, |&c| c as usize / LANES + 1);
-        let mut slots = vec![0u32; blocks];
+        let blocks = cols.last().map_or(0, |&c| split(c).0 + 1);
+        let mut slots = vec![Slot::default(); blocks];
         for (rank, &c) in cols.iter().enumerate() {
-            let (id, lane) = (c as usize / LANES, c as usize % LANES);
-            if slots[id] == 0 {
-                slots[id] = (rank as u32) << 8;
+            let (id, lane) = split(c);
+            if slots[id].mask == 0 {
+                // Strictly ascending u32 columns: a rank fits in u32.
+                slots[id].base = rank as u32;
             }
-            slots[id] |= 1 << lane;
+            slots[id].mask |= 1 << lane;
         }
         IndexedSet { slots }
     }
@@ -263,7 +298,7 @@ impl IndexedSet {
     pub fn len(&self) -> usize {
         self.slots
             .last()
-            .map_or(0, |&s| (s >> 8) as usize + (s as u8).count_ones() as usize)
+            .map_or(0, |s| s.base as usize + s.mask.count_ones() as usize)
     }
 
     /// True when the set has no members.
@@ -287,29 +322,16 @@ impl IndexedSet {
 /// sequence — and thus bit-identity with the scalar two-pointer merge — is
 /// entirely in the caller's hands.
 pub fn for_each_target_slot(row: &BlockedRow, set: &IndexedSet, mut f: impl FnMut(usize, f64)) {
-    for ((&id, &rmask), vals) in row.ids.iter().zip(&row.masks).zip(&row.lanes) {
-        let Some(&slot) = set.slots.get(id as usize) else {
+    for b in &row.blocks {
+        let Some(s) = set.slots.get(b.id as usize) else {
             break;
         };
-        let smask = slot as u8;
-        let mut m = rmask & smask;
-        if m == 0 {
-            continue;
-        }
-        let base = (slot >> 8) as usize;
-        if m == 0xFF {
-            // Both blocks full: ranks are consecutive, trip count fixed —
-            // the loop unrolls and the gather vectorizes.
-            for (lane, &v) in vals.iter().enumerate() {
-                f(base + lane, v);
-            }
-        } else {
-            while m != 0 {
-                let lane = m.trailing_zeros() as usize;
-                let below = smask & ((1u8 << lane) - 1);
-                f(base + below.count_ones() as usize, vals[lane]);
-                m &= m - 1;
-            }
+        let mut m = b.mask & s.mask;
+        while m != 0 {
+            let lane = m.trailing_zeros();
+            let v = row.vals[b.offset as usize + rank(b.mask, lane)];
+            f(s.base as usize + rank(s.mask, lane), v);
+            m &= m - 1;
         }
     }
 }
@@ -325,24 +347,17 @@ pub fn for_each_target_slot(row: &BlockedRow, set: &IndexedSet, mut f: impl FnMu
 /// to the scalar kernel (see the module docs).
 pub fn pearson_on_common_indexed(a: &IndexedRow, b: &BlockedRow) -> (f64, usize) {
     let mut w = WelfordPair::new();
-    for ((&id, &bmask), ys) in b.ids.iter().zip(&b.masks).zip(&b.lanes) {
-        let id = id as usize;
+    for blk in &b.blocks {
+        let id = blk.id as usize;
         let (Some(&amask), Some(xs)) = (a.masks.get(id), a.lanes.get(id)) else {
             break;
         };
-        let m = amask & bmask;
-        if m == 0xFF {
-            // Full block on both sides: fixed-trip unrolled fold.
-            for lane in 0..LANES {
-                w.push(xs[lane], ys[lane]);
-            }
-        } else {
-            let mut m = m;
-            while m != 0 {
-                let lane = m.trailing_zeros() as usize;
-                w.push(xs[lane], ys[lane]);
-                m &= m - 1;
-            }
+        let mut m = amask & blk.mask;
+        while m != 0 {
+            let lane = m.trailing_zeros();
+            let y = b.vals[blk.offset as usize + rank(blk.mask, lane)];
+            w.push(xs[lane as usize], y);
+            m &= m - 1;
         }
     }
     w.finish()
@@ -353,6 +368,8 @@ mod tests {
     use super::*;
     use crate::pearson::{pearson_on_common, pearson_on_common_alloc};
 
+    const L: u32 = LANES as u32;
+
     fn row(pairs: &[(u32, f64)]) -> (Vec<u32>, Vec<f64>) {
         (
             pairs.iter().map(|&(c, _)| c).collect(),
@@ -362,7 +379,7 @@ mod tests {
 
     #[test]
     fn from_sorted_roundtrips() {
-        let (cols, vals) = row(&[(0, 1.0), (3, 2.0), (7, 3.0), (8, 4.0), (31, 5.0)]);
+        let (cols, vals) = row(&[(0, 1.0), (3, 2.0), (L - 1, 3.0), (L, 4.0), (4 * L - 1, 5.0)]);
         let b = BlockedRow::from_sorted(&cols, &vals);
         assert_eq!(b.nnz(), 5);
         assert_eq!(b.num_blocks(), 3); // blocks 0, 1, 3
@@ -371,13 +388,15 @@ mod tests {
 
     #[test]
     fn from_sorted_sizes_exactly() {
-        // 48 occupied blocks: doubling growth would leave capacity 64.
-        let cols: Vec<u32> = (0..48).map(|b| b * LANES as u32 + b % 3).collect();
-        let b = BlockedRow::from_sorted(&cols, &vec![1.0; 48]);
+        // 48 occupied blocks holding 96 values: doubling growth would
+        // leave capacities 64 and 128.
+        let cols: Vec<u32> = (0..48)
+            .flat_map(|b| [b * L + b % 3, b * L + L - 1])
+            .collect();
+        let b = BlockedRow::from_sorted(&cols, &vec![1.0; 96]);
         assert_eq!(b.num_blocks(), 48);
-        assert_eq!(b.ids.capacity(), 48);
-        assert_eq!(b.masks.capacity(), 48);
-        assert_eq!(b.lanes.capacity(), 48);
+        assert_eq!(b.blocks.capacity(), 48);
+        assert_eq!(b.vals.capacity(), 96);
     }
 
     #[test]
@@ -396,7 +415,7 @@ mod tests {
 
     #[test]
     fn indexed_row_roundtrips() {
-        let (cols, vals) = row(&[(0, 1.0), (3, 2.0), (7, 3.0), (8, 4.0), (31, 5.0)]);
+        let (cols, vals) = row(&[(0, 1.0), (3, 2.0), (L - 1, 3.0), (L, 4.0), (4 * L - 1, 5.0)]);
         let a = IndexedRow::from_sorted(&cols, &vals);
         assert_eq!(a.nnz(), 5);
         assert_eq!(a.num_blocks(), 4); // block ids 0..=3, block 2 empty
@@ -409,7 +428,7 @@ mod tests {
     #[test]
     fn indexed_forms_size_exactly() {
         // 48 block ids: doubling growth would leave capacity 64.
-        let cols: Vec<u32> = (0..48).map(|b| b * LANES as u32 + b % 3).collect();
+        let cols: Vec<u32> = (0..48).map(|b| b * L + b % 3).collect();
         let a = IndexedRow::from_sorted(&cols, &vec![1.0; 48]);
         assert_eq!(a.num_blocks(), 48);
         assert_eq!(a.masks.capacity(), 48);
@@ -444,12 +463,12 @@ mod tests {
     }
 
     #[test]
-    fn full_block_fast_path_is_bit_identical() {
-        // Two rows dense over the same 16 columns: every block takes the
-        // m == 0xFF unrolled path.
-        let ca: Vec<u32> = (0..16).collect();
-        let va: Vec<f64> = (0..16).map(|i| (i % 5) as f64 + 1.0).collect();
-        let vb: Vec<f64> = (0..16).map(|i| 5.0 - (i % 4) as f64).collect();
+    fn full_blocks_are_bit_identical() {
+        // Two rows dense over the same two full blocks and a partial
+        // third: every lane of the first two blocks matches.
+        let ca: Vec<u32> = (0..2 * L + 5).collect();
+        let va: Vec<f64> = ca.iter().map(|&i| (i % 5) as f64 + 1.0).collect();
+        let vb: Vec<f64> = ca.iter().map(|&i| 5.0 - (i % 4) as f64).collect();
         let a = IndexedRow::from_sorted(&ca, &va);
         let b = BlockedRow::from_sorted(&ca, &vb);
         let (ws, ns) = pearson_on_common(&ca, &va, &ca, &vb);
@@ -461,8 +480,15 @@ mod tests {
     #[test]
     fn indexed_agrees_with_allocating_oracle() {
         // The neighbour runs two blocks past the active row's last one.
-        let (ca, va) = row(&[(0, 1.0), (2, 4.5), (3, 2.0), (5, 5.0), (8, 3.0)]);
-        let (cb, vb) = row(&[(2, 1.0), (3, 4.0), (5, 2.0), (8, 4.5), (12, 7.0), (30, 1.0)]);
+        let (ca, va) = row(&[(0, 1.0), (2, 4.5), (3, 2.0), (5, 5.0), (L, 3.0)]);
+        let (cb, vb) = row(&[
+            (2, 1.0),
+            (3, 4.0),
+            (5, 2.0),
+            (L, 4.5),
+            (2 * L - 2, 7.0),
+            (3 * L + 7, 1.0),
+        ]);
         let a = IndexedRow::from_sorted(&ca, &va);
         let b = BlockedRow::from_sorted(&cb, &vb);
         let (wi, ni) = pearson_on_common_indexed(&a, &b);
@@ -474,7 +500,7 @@ mod tests {
     #[test]
     fn empty_intersection_gives_zero() {
         let a = IndexedRow::from_sorted(&[0, 1], &[1.0, 2.0]);
-        let b = BlockedRow::from_sorted(&[64, 65], &[1.0, 2.0]);
+        let b = BlockedRow::from_sorted(&[8 * L, 8 * L + 1], &[1.0, 2.0]);
         assert_eq!(pearson_on_common_indexed(&a, &b), (0.0, 0));
         let empty = IndexedRow::from_sorted(&[], &[]);
         assert_eq!(pearson_on_common_indexed(&empty, &b), (0.0, 0));
@@ -482,7 +508,7 @@ mod tests {
 
     #[test]
     fn indexed_set_ranks_match_positions() {
-        let cols = [2u32, 5, 7, 8, 16, 17, 30];
+        let cols = [2u32, 5, 7, L, 2 * L, 2 * L + 1, 4 * L - 2];
         let set = IndexedSet::from_sorted(&cols);
         assert_eq!(set.len(), 7);
         assert_eq!(IndexedSet::from_sorted(&[]).len(), 0);
@@ -497,8 +523,8 @@ mod tests {
     #[test]
     fn target_slots_match_two_pointer_scan() {
         // The row runs past the set's last block and skips its block 1.
-        let targets = [1u32, 3, 6, 9, 14, 22];
-        let (rc, rv) = row(&[(0, 0.5), (3, 1.5), (6, 2.5), (22, 4.5), (40, 5.0)]);
+        let targets = [1u32, 3, 6, L + 1, L + 6, 2 * L + 6];
+        let (rc, rv) = row(&[(0, 0.5), (3, 1.5), (6, 2.5), (2 * L + 6, 4.5), (5 * L, 5.0)]);
         let set = IndexedSet::from_sorted(&targets);
         let rowb = BlockedRow::from_sorted(&rc, &rv);
         let mut got = Vec::new();

@@ -4,7 +4,7 @@ use at_linalg::stats::{mean, percentile, variance, Percentiles, StreamingStats};
 use at_linalg::{
     for_each_target_slot, pearson, pearson_on_common, pearson_on_common_alloc,
     pearson_on_common_indexed, BlockedRow, IncrementalSvd, IndexedRow, IndexedSet, Matrix,
-    SparseMatrix, SparseMatrixBuilder, SvdConfig,
+    SparseMatrix, SparseMatrixBuilder, SvdConfig, LANES,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -247,11 +247,13 @@ proptest! {
     //
     // Every vectorized variant must be *bit*-identical (`to_bits`) to the
     // allocating oracle, which the streaming kernel is itself pinned to.
-    // Column gaps of 1..6 walk intersections across 8-wide block boundaries
-    // at every alignment; a one-sided tail runs either row past the other's
-    // last block (the indexed walk's early stop); `empty_a` empties the
-    // indexed side; `zero_var_a` forces constant (zero-variance) rows and
-    // `nan_at` injects a NaN score to pin NaN propagation.
+    // Column gaps of 1..6 walk intersections across `LANES`-wide block
+    // boundaries at every alignment; `dense` (one draw in four) instead lays
+    // both rows over consecutive columns from 0, so a long draw fills whole
+    // blocks on both sides. A one-sided tail runs either row past the
+    // other's last block (the indexed walk's early stop); `empty_a` empties
+    // the indexed side; `zero_var_a` forces constant (zero-variance) rows
+    // and `nan_at` injects a NaN score to pin NaN propagation.
 
     #[test]
     fn blocked_and_lane_kernels_bit_match_oracle(
@@ -262,11 +264,13 @@ proptest! {
         zero_var_a in 0u32..2,
         // Indices >= 120 never match an entry, so half the draws inject no NaN.
         nan_at in 0usize..240,
+        dense in 0u32..4,
     ) {
         let mut col = 0u32;
         let (mut ca, mut va) = (Vec::new(), Vec::new());
         let (mut cb, mut vb) = (Vec::new(), Vec::new());
         for (i, &(pa, pb, gap, x, y)) in entries.iter().enumerate() {
+            let (pa, pb, gap) = if dense == 0 { (1, 1, u32::from(i > 0)) } else { (pa, pb, gap) };
             col += gap;
             let mut x = if zero_var_a == 1 { 2.5 } else { x };
             if nan_at == i {
@@ -315,7 +319,7 @@ proptest! {
         shift_a in 0u32..2,
     ) {
         // Make the rows provably disjoint: evens for `a`, odds for `b`.
-        let (sa, sb) = if shift_a == 1 { (shift * 8, 0) } else { (0, shift * 8) };
+        let (sa, sb) = if shift_a == 1 { (shift * LANES as u32, 0) } else { (0, shift * LANES as u32) };
         let mut col = 0u32;
         let ca: Vec<u32> = cols_a.iter().map(|&g| { col += g; col * 2 + sa }).collect();
         let mut col = 0u32;
@@ -354,11 +358,15 @@ proptest! {
         entries in prop::collection::vec((0u32..2, 0u32..2, 1u32..6, -10.0f64..10.0), 0..100),
         tail in prop::collection::vec((1u32..20, -10.0f64..10.0), 0..12),
         tail_on_row in 0u32..2,
+        // One draw in four lays both sides over consecutive columns from 0,
+        // so a long draw fills whole blocks.
+        dense in 0u32..4,
     ) {
         let mut col = 0u32;
         let (mut cr, mut vr) = (Vec::new(), Vec::new());
         let mut ct = Vec::new();
-        for &(pr, pt, gap, v) in &entries {
+        for (i, &(pr, pt, gap, v)) in entries.iter().enumerate() {
+            let (pr, pt, gap) = if dense == 0 { (1, 1, u32::from(i > 0)) } else { (pr, pt, gap) };
             col += gap;
             if pr == 1 {
                 cr.push(col);

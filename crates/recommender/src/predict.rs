@@ -275,48 +275,52 @@ mod tests {
 
     #[test]
     fn indexed_kernels_are_bit_identical_to_scalar() {
-        let neighbor = row(vec![
-            (0, 4.0),
-            (1, 2.0),
-            (4, 1.0),
-            (5, 5.0),
-            (8, 3.5),
-            (9, 2.0),
-            (16, 1.0),
-            (17, 2.0),
-        ]);
-        // The profile ends before, inside and after the neighbour's last
-        // block, or is empty; the targets do the same.
-        let profiles = [
-            vec![(0, 5.0), (1, 1.0), (2, 3.0), (8, 2.0), (17, 4.0)],
-            vec![(0, 5.0), (1, 1.0), (5, 3.0)],
-            vec![(1, 2.0), (9, 4.0), (17, 1.0), (40, 5.0)],
-            vec![],
-        ];
-        let target_lists = [
-            vec![3, 5, 7, 9, 16, 24],
-            vec![1, 4],
-            vec![],
-            vec![8, 17, 63],
-        ];
-        let nb = BlockedRow::from_sorted(&neighbor.cols, &neighbor.vals);
-        let mean = at_linalg::RowStats::of(&neighbor.vals).mean();
-        for (profile, targets) in profiles.iter().zip(&target_lists) {
-            let active = ActiveUser::new(row(profile.clone()), targets.clone());
-            let (ws, cs) = user_weight(&active.profile().decode(), &neighbor);
-            let (wi, ci) = user_weight_indexed(active.profile(), &nb);
-            assert_eq!(cs, ci);
-            assert_eq!(ws.to_bits(), wi.to_bits());
-            // A nonzero weight even when the profile gives none, so the
-            // target fold always runs.
-            let w = if ws == 0.0 { 0.75 } else { ws };
-            let mut scalar = vec![PredictionAcc::default(); active.targets.len()];
-            accumulate_neighbor(&active, &neighbor, w, mean, 2.0, &mut scalar);
-            let mut indexed = vec![PredictionAcc::default(); active.targets.len()];
-            accumulate_neighbor_indexed(active.target_set(), &nb, w, mean, 2.0, &mut indexed);
-            for (s, i) in scalar.iter().zip(&indexed) {
-                assert_eq!(s.num.to_bits(), i.num.to_bits());
-                assert_eq!(s.den.to_bits(), i.den.to_bits());
+        // Columns are drawn in eighths of a block and then stretched by
+        // `spread`: at spread 1 every case sits in block 0, at `LANES / 8`
+        // the profiles and targets end before, inside and after the
+        // neighbour's last block as drawn.
+        for spread in [1, at_linalg::LANES as u32 / 8] {
+            let at =
+                |pairs: &[(u32, f64)]| row(pairs.iter().map(|&(c, v)| (c * spread, v)).collect());
+            let neighbor = at(&[
+                (0, 4.0),
+                (1, 2.0),
+                (4, 1.0),
+                (5, 5.0),
+                (8, 3.5),
+                (9, 2.0),
+                (16, 1.0),
+                (17, 2.0),
+            ]);
+            // The profile ends before, inside and after the neighbour's
+            // last block, or is empty; the targets do the same.
+            let profiles: [&[(u32, f64)]; 4] = [
+                &[(0, 5.0), (1, 1.0), (2, 3.0), (8, 2.0), (17, 4.0)],
+                &[(0, 5.0), (1, 1.0), (5, 3.0)],
+                &[(1, 2.0), (9, 4.0), (17, 1.0), (40, 5.0)],
+                &[],
+            ];
+            let target_lists: [&[u32]; 4] = [&[3, 5, 7, 9, 16, 24], &[1, 4], &[], &[8, 17, 63]];
+            let nb = BlockedRow::from_sorted(&neighbor.cols, &neighbor.vals);
+            let mean = at_linalg::RowStats::of(&neighbor.vals).mean();
+            for (profile, targets) in profiles.iter().zip(&target_lists) {
+                let targets = targets.iter().map(|&c| c * spread).collect();
+                let active = ActiveUser::new(at(profile), targets);
+                let (ws, cs) = user_weight(&active.profile().decode(), &neighbor);
+                let (wi, ci) = user_weight_indexed(active.profile(), &nb);
+                assert_eq!(cs, ci);
+                assert_eq!(ws.to_bits(), wi.to_bits());
+                // A nonzero weight even when the profile gives none, so the
+                // target fold always runs.
+                let w = if ws == 0.0 { 0.75 } else { ws };
+                let mut scalar = vec![PredictionAcc::default(); active.targets.len()];
+                accumulate_neighbor(&active, &neighbor, w, mean, 2.0, &mut scalar);
+                let mut indexed = vec![PredictionAcc::default(); active.targets.len()];
+                accumulate_neighbor_indexed(active.target_set(), &nb, w, mean, 2.0, &mut indexed);
+                for (s, i) in scalar.iter().zip(&indexed) {
+                    assert_eq!(s.num.to_bits(), i.num.to_bits());
+                    assert_eq!(s.den.to_bits(), i.den.to_bits());
+                }
             }
         }
     }

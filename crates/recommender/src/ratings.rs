@@ -170,20 +170,23 @@ mod tests {
 
     #[test]
     fn active_user_arrays_are_sized_exactly() {
-        // Duplicate targets leave dedup slack; the last rated item (37)
-        // sits in block 4, so the profile indexes blocks 0..=4.
+        // Duplicate targets leave dedup slack; the last rated item sits in
+        // block 4, so the profile indexes blocks 0..=4, and the last target
+        // in block 2.
+        let l = at_linalg::LANES as u32;
+        let (last, t1, t2) = (4 * l + 5, l + 1, 2 * l + 5);
         let u = ActiveUser::new(
-            SparseRow::from_pairs(vec![(3, 4.0), (37, 2.0)]),
-            vec![21, 2, 21, 2, 9],
+            SparseRow::from_pairs(vec![(3, 4.0), (last, 2.0)]),
+            vec![t2, 2, t2, 2, t1],
         );
-        assert_eq!(u.targets, vec![2, 9, 21]);
+        assert_eq!(u.targets, vec![2, t1, t2]);
         assert_eq!(u.targets.capacity(), 3);
         assert_eq!(u.profile().num_blocks(), 5);
         assert_eq!(u.target_set().num_blocks(), 3);
         assert_eq!(u.target_set().len(), 3);
         assert_eq!(
             u.profile().decode(),
-            SparseRow::from_pairs(vec![(3, 4.0), (37, 2.0)])
+            SparseRow::from_pairs(vec![(3, 4.0), (last, 2.0)])
         );
     }
 

@@ -3,6 +3,7 @@
 
 use accuracytrader::prelude::*;
 use accuracytrader::recommender::rating_matrix;
+use accuracytrader::workloads::ratings::Rating;
 
 fn subset(n: usize) -> RowStore {
     let data = RatingsDataset::generate(RatingsConfig {
@@ -124,20 +125,43 @@ fn aggregation_ratio_tracks_config() {
     }
 }
 
+/// The benchmark's data seed, which also seeds its SVD.
+const SEED: u64 = 0xACC0_2016;
+
+/// The ratings of one benchmark-shaped `large` CF component (1 000 users ×
+/// 400 items, 133 ratings each), split 80/20 into training and held-out
+/// ratings as the benchmark splits them.
+fn large_cf_ratings() -> (Vec<Rating>, Vec<Rating>) {
+    let data = RatingsDataset::generate(RatingsConfig {
+        n_users: 1000,
+        n_items: 400,
+        ratings_per_user: 133,
+        noise: 0.3,
+        seed: SEED,
+        ..RatingsConfig::default()
+    });
+    data.holdout_split(0.8, SEED ^ 0x51)
+}
+
+/// FNV-1a over little-endian bytes.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes
+        .into_iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |hash, byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
 /// FNV-1a over the bits of every row factor, every column factor and the
 /// global mean.
 fn factor_hash(model: &accuracytrader::linalg::SvdModel) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
     let factors = model.row_factors().as_slice().iter();
     let bits = factors
         .chain(model.col_factors().as_slice())
         .copied()
         .chain(std::iter::once(model.global_mean()))
         .map(f64::to_bits);
-    for byte in bits.flat_map(u64::to_le_bytes) {
-        hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
-    }
-    hash
+    fnv1a(bits.flat_map(u64::to_le_bytes))
 }
 
 #[test]
@@ -147,23 +171,14 @@ fn svd_factors_are_pinned_on_benchmark_shaped_components() {
     // 80 % kept for training) and a `small` search component (150 pages,
     // 1 200 terms). The pins are the factors of the row-major fit, so a
     // change to the fit's arithmetic or its update order fails here.
-    let seed = 0xACC0_2016;
-    let svd = SvdConfig::default().with_epochs(30).with_seed(seed);
-    let data = RatingsDataset::generate(RatingsConfig {
-        n_users: 1000,
-        n_items: 400,
-        ratings_per_user: 133,
-        noise: 0.3,
-        seed,
-        ..RatingsConfig::default()
-    });
-    let (train, _) = data.holdout_split(0.8, seed ^ 0x51);
+    let svd = SvdConfig::default().with_epochs(30).with_seed(SEED);
+    let (train, _) = large_cf_ratings();
     let cf = rating_matrix(1000, 400, &train).to_csr();
     let corpus = Corpus::generate(CorpusConfig {
         n_docs: 150,
         vocab: 1200,
         n_topics: 12,
-        seed,
+        seed: SEED,
         ..CorpusConfig::default()
     });
     let mut pages = RowStore::new(1200);
@@ -180,4 +195,66 @@ fn svd_factors_are_pinned_on_benchmark_shaped_components() {
         let model = IncrementalSvd::new(svd).fit(&csr);
         assert_eq!(factor_hash(&model), pin, "{name}: factors moved");
     }
+}
+
+#[test]
+fn cf_outputs_and_block_counts_are_pinned_on_a_benchmark_shaped_component() {
+    // One `large` CF component built as the benchmark builds it, serving
+    // 64 of its users' held-out items. Counts before time: the mean number
+    // of occupied column blocks a kernel walks per stored row and per
+    // synopsis point pins the layout's work, and the hash pins every
+    // prediction accumulator's bits under three policies, so a layout
+    // change that moves either shows here.
+    let (train, holdout) = large_cf_ratings();
+    let rows = rating_matrix(1000, 400, &train);
+    let requests: Vec<ActiveUser> = (0..64)
+        .map(|user| {
+            let targets = holdout.iter().filter(|r| r.user == user).map(|r| r.item);
+            ActiveUser::new(rows.row(u64::from(user)).clone(), targets.collect())
+        })
+        .collect();
+    let config = SynopsisConfig {
+        svd: SvdConfig::default().with_epochs(30).with_seed(SEED),
+        size_ratio: 12,
+        ..SynopsisConfig::default()
+    };
+    let (component, _) = Component::build(rows, AggregationMode::Mean, config, CfService);
+
+    let dataset = component.dataset();
+    let row_blocks: usize = dataset.ids().map(|id| dataset.row(id).num_blocks()).sum();
+    let synopsis = component.store().synopsis();
+    let point_blocks: usize = synopsis.iter().map(|p| p.info.num_blocks()).sum();
+    assert_eq!(
+        (dataset.len(), synopsis.len()),
+        (1000, 84),
+        "deployment moved"
+    );
+    // 41 919 and 4 200 blocks (41.92 and 50.00 each) at 8 columns per
+    // block.
+    assert_eq!(
+        (row_blocks, point_blocks),
+        (6_889, 84 * 7),
+        "blocks per row {:.2}, per synopsis point {:.2}",
+        row_blocks as f64 / 1000.0,
+        point_blocks as f64 / 84.0,
+    );
+
+    let submitted = std::time::Instant::now();
+    let policies = [
+        ExecutionPolicy::SynopsisOnly,
+        ExecutionPolicy::budgeted(17),
+        ExecutionPolicy::Exact,
+    ];
+    let bits = policies.iter().flat_map(|policy| {
+        requests.iter().flat_map(|req| {
+            let outcome = component.execute(req, policy, submitted);
+            let accs = outcome.output.into_iter();
+            accs.flat_map(|acc| [acc.num.to_bits(), acc.den.to_bits()])
+        })
+    });
+    assert_eq!(
+        fnv1a(bits.flat_map(u64::to_le_bytes)),
+        0x96c5_a12f_d1fd_59d2,
+        "predictions moved"
+    );
 }

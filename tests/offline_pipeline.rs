@@ -229,8 +229,6 @@ fn cf_outputs_and_block_counts_are_pinned_on_a_benchmark_shaped_component() {
         (1000, 84),
         "deployment moved"
     );
-    // 41 919 and 4 200 blocks (41.92 and 50.00 each) at 8 columns per
-    // block.
     assert_eq!(
         (row_blocks, point_blocks),
         (6_889, 84 * 7),
